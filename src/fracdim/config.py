@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .fbm import SamplePath, TimeGrid, generate_cholesky, generate_circulant
+from .fbm import HurstParam, SamplePath, TimeGrid, generate_cholesky, generate_circulant
 from .fields import VectorFieldSet, resolve_fields
-from .roughpath import SignaturePath, lift_path, required_depth
-from .solver import SolverScheme, solve
+from .roughpath import lift_path
+from .solver import SolverScheme, _constant_field_path, scheme_for, solve
 
 __all__ = [
     "ALL_TASKS",
@@ -43,7 +43,6 @@ ALL_TASKS = (
 )
 
 _GENERATORS = ("cholesky", "circulant")
-_SCHEMES = ("step2_davie", "step3", "auto")
 _TOP_KEYS = {
     "name",
     "hurst",
@@ -86,8 +85,11 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("name is required")
-        if not (0.25 < self.hurst < 1.0):
-            raise ConfigError("hurst must lie in (0.25, 1)")
+        try:
+            HurstParam(self.hurst)
+            object.__setattr__(self, "scheme", scheme_for(self.hurst, self.scheme).kind)
+        except ValueError as exc:  # hurst out of range, unknown or too weak scheme
+            raise ConfigError(str(exc)) from None
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
         if self.n_points < 2 or self.n_points & (self.n_points - 1):
@@ -98,13 +100,6 @@ class ExperimentSpec:
             raise ConfigError(f"unknown generator '{self.generator}'")
         if self.generator == "circulant" and self.t_range[0] != 0.0:
             raise ConfigError("circulant generator requires t_start = 0")
-        if self.scheme == "auto":
-            resolved = "step2_davie" if required_depth(self.hurst) == 2 else "step3"
-            object.__setattr__(self, "scheme", resolved)
-        elif self.scheme not in _SCHEMES:
-            raise ConfigError(f"unknown scheme '{self.scheme}'")
-        if self.scheme == "step2_davie" and required_depth(self.hurst) == 3:
-            raise ConfigError("step3 is required for hurst <= 1/3")
         if self.ensemble < 1:
             raise ConfigError("ensemble must be >= 1")
         for fname in self.fields:
@@ -120,10 +115,6 @@ class ExperimentSpec:
     def grid(self) -> TimeGrid:
         # n_points counts sampling steps; the grid adds the pinned origin
         return TimeGrid(self.n_points + 1, self.t_range[0], self.t_range[1])
-
-    @property
-    def signature_depth(self) -> int:
-        return 2 if self.scheme == "step2_davie" else 3
 
     def task_params(self, task: str) -> dict:
         return dict(self.estimator_params.get(task, {}))
@@ -219,10 +210,6 @@ def generate_driver(spec: ExperimentSpec, index: int) -> SamplePath:
     return generate_circulant(spec.grid, spec.dim, spec.hurst, seed)
 
 
-def _lift(spec: ExperimentSpec, driver: SamplePath) -> SignaturePath:
-    return lift_path(driver, spec.signature_depth)
-
-
 def solve_member(
     spec: ExperimentSpec,
     index: int,
@@ -238,11 +225,8 @@ def solve_member(
     driver = generate_driver(spec, index)
     start = np.zeros(fs.dim_state) if x0 is None else np.asarray(x0, dtype=float)
     if fs.constant:
-        values = start[None, :] + driver.values @ fs.v(start).T
-        if np.any(fs.v0(start)):
-            values = values + np.outer(driver.grid.points - driver.grid.t_start, fs.v0(start))
-        sol = SamplePath(driver.grid, values, hurst=driver.hurst, seed=driver.seed)
-        return sol
+        values = _constant_field_path(fs, start, driver.values, driver.grid)
+        return SamplePath(driver.grid, values, hurst=driver.hurst, seed=driver.seed)
     scheme = SolverScheme(spec.scheme)
-    sol = solve(fs, start, _lift(spec, driver), scheme)
+    sol = solve(fs, start, lift_path(driver, scheme.depth), scheme)
     return replace(sol, seed=driver.seed)

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .config import ExperimentSpec, solve_member
 
@@ -24,16 +25,14 @@ __all__ = [
     "kde_bivariate_decay",
     "kde_increment",
     "positivity_scan",
-    "scaling_check_time",
     "sup_increment",
-    "tail_curve_sup_increment",
+    "tail_curve",
     "upper_envelope_fit",
 ]
 
 _MIN_TAIL_ENSEMBLE = 1_000
 _MIN_KDE_ENSEMBLE = 10_000
 _MIN_BIVARIATE_ENSEMBLE = 100_000
-NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -95,46 +94,37 @@ def sup_increment(values: np.ndarray) -> float:
         col = values[:, 0]
         return float(col.max() - col.min())
     try:
-        from scipy.spatial import ConvexHull
-
         hull = values[ConvexHull(values).vertices]
-    except Exception:  # degenerate (collinear) clouds
+    except QhullError:  # degenerate (collinear) clouds
         hull = values
     diff = hull[:, None, :] - hull[None, :, :]
     return float(np.sqrt((diff**2).sum(axis=-1)).max())
 
 
-def _ensemble_samples_at(
-    spec: ExperimentSpec, times: tuple[float, ...], n_members: int | None = None
-):
+def _ensemble_samples_at(spec: ExperimentSpec, times: tuple[float, ...]) -> np.ndarray:
     """State samples at the requested times for each member, shape (m, len(times), d)."""
     grid = spec.grid
     idx = [int(round((t - grid.t_start) / grid.spacing)) for t in times]
-    m = n_members or spec.ensemble
-    out = np.empty((m, len(times), spec.dim))
-    for k in range(m):
-        sol = solve_member(spec, k)
-        out[k] = sol.values[idx]
+    out = np.empty((spec.ensemble, len(times), spec.dim))
+    for k in range(spec.ensemble):
+        out[k] = solve_member(spec, k).values[idx]
     return out
 
 
-def tail_curve_sup_increment(
-    spec: ExperimentSpec,
+def tail_curve(
+    sups: np.ndarray,
     interval: tuple[float, float],
     xi_grid: np.ndarray | None = None,
 ) -> TailCurve:
-    """Empirical P(sup |X_v - X_u| >= xi) over [interval] from the ensemble.
+    """Empirical P(sup |X_v - X_u| >= xi) over [interval] from per-member sups.
 
     With xi_grid omitted, a quantile ladder of the realized statistics is
     used.  Exceedance zero yields the -inf sentinel; an all-sentinel curve is
     reported with a warning (the xi grid was too coarse).
     """
-    if spec.ensemble < _MIN_TAIL_ENSEMBLE:
+    sups = np.asarray(sups, dtype=float)
+    if sups.size < _MIN_TAIL_ENSEMBLE:
         raise ValueError(f"tail curves need an ensemble of at least {_MIN_TAIL_ENSEMBLE}")
-    sups = np.empty(spec.ensemble)
-    for k in range(spec.ensemble):
-        sol = solve_member(spec, k).restrict(*interval)
-        sups[k] = sup_increment(sol.values)
     if xi_grid is None:
         qs = np.linspace(0.05, 0.99, 24)
         xi_grid = np.unique(np.quantile(sups, qs))
@@ -142,7 +132,7 @@ def tail_curve_sup_increment(
     probs = (sups[None, :] >= xi[:, None]).mean(axis=1)
     with np.errstate(divide="ignore"):
         log_probs = np.log(probs)
-    curve = TailCurve(xi, log_probs, spec.ensemble, interval)
+    curve = TailCurve(xi, log_probs, sups.size, interval)
     if curve.all_sentinel:
         warnings.warn("no exceedances at any xi; the xi grid is too coarse")
     return curve
@@ -170,41 +160,6 @@ def fit_tail_exponent(
     return best, slopes, r2s
 
 
-def scaling_check_time(
-    spec: ExperimentSpec,
-    intervals: list[tuple[float, float]],
-    xi_fixed: float,
-) -> tuple[list[tuple[float, float]], float]:
-    """Exceedance at fixed xi across intervals sharing a start point.
-
-    Returns ((t-s, log_prob) pairs, slope of log_prob against log(t-s)); the
-    association is expected positive (longer interval, fatter tail).
-    """
-    starts = {s for s, _ in intervals}
-    if len(starts) != 1:
-        raise ValueError("intervals must share their start point")
-    if spec.ensemble < _MIN_TAIL_ENSEMBLE:
-        raise ValueError(f"tail curves need an ensemble of at least {_MIN_TAIL_ENSEMBLE}")
-    sups = {iv: np.empty(spec.ensemble) for iv in intervals}
-    for k in range(spec.ensemble):
-        sol = solve_member(spec, k)
-        for iv in intervals:
-            sups[iv][k] = sup_increment(sol.restrict(*iv).values)
-    pairs = []
-    for s, t in intervals:
-        p = float((sups[(s, t)] >= xi_fixed).mean())
-        pairs.append((t - s, math.log(p) if p > 0 else NEG_INF))
-    finite = [(w, lp) for w, lp in pairs if math.isfinite(lp)]
-    if len(finite) >= 2:
-        xs = np.log([w for w, _ in finite])
-        ys = np.array([lp for _, lp in finite])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        warnings.warn("too few finite exceedances for a scaling slope")
-        slope = math.nan
-    return pairs, slope
-
-
 def _bandwidths(samples: np.ndarray) -> np.ndarray:
     m, dim = samples.shape
     sigma = samples.std(axis=0, ddof=1)
@@ -226,39 +181,43 @@ def _kde_at(samples: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def kde_increment(
-    spec: ExperimentSpec,
+    samples: np.ndarray,
     interval: tuple[float, float],
     centers: np.ndarray,
 ) -> DensityEstimate:
-    """Kernel density of X_t - X_s at the given centers."""
+    """Kernel density of X_t - X_s at the given centers.
+
+    ``samples`` holds each member's states at (s, t), shape (m, 2, d).
+    """
     s, t = interval
     if s < 0.1 - 1e-12:
         raise ValueError("increment densities are estimated away from 0 (s >= 0.1)")
-    if spec.ensemble < _MIN_KDE_ENSEMBLE:
+    m, _, d = samples.shape
+    if m < _MIN_KDE_ENSEMBLE:
         raise ValueError(f"kde_increment needs an ensemble of at least {_MIN_KDE_ENSEMBLE}")
-    samples = _ensemble_samples_at(spec, (s, t))
     inc = samples[:, 1, :] - samples[:, 0, :]
     pts = np.atleast_2d(np.asarray(centers, dtype=float))
-    if pts.shape[1] != spec.dim:
-        pts = pts.reshape(-1, spec.dim)
+    if pts.shape[1] != d:
+        pts = pts.reshape(-1, d)
     vals, b = _kde_at(inc, pts)
-    return DensityEstimate(pts, vals, float(np.mean(b)), spec.ensemble, interval)
+    return DensityEstimate(pts, vals, float(np.mean(b)), m, interval)
 
 
 def positivity_scan(
-    spec: ExperimentSpec,
+    samples: np.ndarray,
     t: float,
     window: tuple[float, float],
     lattice_per_dim: int | None = None,
 ) -> PositivityResult:
     """Minimum KDE value of X_t over a lattice filling the window box.
 
-    Too small an ensemble, too few samples near the window, or full KDE
-    underflow make the scan untestable rather than failed.
+    ``samples`` holds each member's state at t, shape (m, d).  Too small an
+    ensemble, too few samples near the window, or full KDE underflow make the
+    scan untestable rather than failed.
     """
     if t < 0.1:
         raise ValueError("positivity scans require t >= 0.1")
-    d = spec.dim
+    d = samples.shape[1]
     if lattice_per_dim is None:
         lattice_per_dim = max(2, int(10_000 ** (1.0 / d)))
     if lattice_per_dim**d > 10_000:
@@ -266,9 +225,8 @@ def positivity_scan(
     axes = [np.linspace(window[0], window[1], lattice_per_dim)] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     lattice = np.column_stack([m.ravel() for m in mesh])
-    if spec.ensemble < 100:
+    if samples.shape[0] < 100:
         return PositivityResult(math.nan, "untestable", lattice.shape[0])
-    samples = _ensemble_samples_at(spec, (t,))[:, 0, :]
     b = _bandwidths(samples)
     near = np.all(
         (samples >= window[0] - 3 * b) & (samples <= window[1] + 3 * b), axis=1
@@ -282,28 +240,29 @@ def positivity_scan(
 
 
 def kde_bivariate_decay(
-    spec: ExperimentSpec,
+    samples: np.ndarray,
     s: float,
     t: float,
     offsets: np.ndarray,
 ) -> list[tuple[float, float]]:
     """Joint KDE of (X_s, X_t) at pairs (z, z + offset), z the median of X_s.
 
+    ``samples`` holds each member's states at (s, t), shape (m, 2, d).
     Returns (|offset|, joint density) pairs, the raw material for decay
     profiles in |offset|^(2 gamma).
     """
     if not (0.1 <= s < t):
         raise ValueError("need 0.1 <= s < t")
-    if spec.ensemble < _MIN_BIVARIATE_ENSEMBLE:
+    m, _, d = samples.shape
+    if m < _MIN_BIVARIATE_ENSEMBLE:
         raise ValueError(
             f"kde_bivariate_decay needs an ensemble of at least {_MIN_BIVARIATE_ENSEMBLE}"
         )
-    samples = _ensemble_samples_at(spec, (s, t))
-    joint = samples.reshape(samples.shape[0], 2 * spec.dim)
+    joint = samples.reshape(m, 2 * d)
     z1 = np.median(samples[:, 0, :], axis=0)
     offs = np.atleast_2d(np.asarray(offsets, dtype=float))
-    if offs.shape[1] != spec.dim:
-        offs = offs.reshape(-1, spec.dim)
+    if offs.shape[1] != d:
+        offs = offs.reshape(-1, d)
     points = np.column_stack([np.tile(z1, (offs.shape[0], 1)), z1[None, :] + offs])
     vals, _ = _kde_at(joint, points)
     return [

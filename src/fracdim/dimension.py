@@ -25,7 +25,6 @@ __all__ = [
     "default_eps_range",
     "energy_integral",
     "extract_level_set",
-    "feature_floor",
     "graph_cloud",
     "image_cloud",
     "mu_measure",
@@ -128,16 +127,6 @@ def cloud_span(cloud: PointCloud) -> float:
     """Largest axis-aligned extent; 0 for a single point."""
     p = cloud.points
     return float((p.max(axis=0) - p.min(axis=0)).max())
-
-
-def feature_floor(cloud_or_path: PointCloud | SamplePath) -> float:
-    """4x the median consecutive step — below this, sampling saturates counts."""
-    if isinstance(cloud_or_path, SamplePath):
-        pts = graph_cloud(cloud_or_path).points
-    else:
-        pts = cloud_or_path.points
-    steps = np.sqrt((np.diff(pts, axis=0) ** 2).sum(axis=1))
-    return 4.0 * float(np.median(steps)) if steps.size else 0.0
 
 
 def default_eps_range(cloud: PointCloud, floor_hint: float = 0.0) -> tuple[float, float]:

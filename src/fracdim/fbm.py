@@ -397,6 +397,10 @@ def read_path(src: str | Path | BinaryIO) -> SamplePath:
     if version != PATH_VERSION:
         raise ValueError(f"unsupported path format version {version}")
     offset = 4 + _HEADER.size
+    if len(raw) - offset != 8 * n * d:
+        raise ValueError(
+            f"payload is {len(raw) - offset} bytes; the header declares {n}x{d} float64 values"
+        )
     values = np.frombuffer(raw, dtype="<f8", count=n * d, offset=offset).reshape(n, d)
     return SamplePath(
         TimeGrid(n, t0, t1),

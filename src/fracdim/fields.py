@@ -46,7 +46,6 @@ class VectorFieldSet:
     dv0: Callable[[np.ndarray], np.ndarray] | None = None
     smoothness_order: int = 2
     constant: bool = False
-    bound_hint: float | None = None
     name: str = ""
 
     @property
@@ -99,13 +98,6 @@ class VectorFieldSet:
             out[:, l] = (self.v0(x + e) - self.v0(x - e)) / (2 * h)
         return out
 
-    def eval(self, x: np.ndarray, order: int = 1):
-        """(V0, V, dV[, d2V]) at one state point."""
-        base = (self.v0(x), self.v(x), self.first_derivatives(x))
-        if order >= 2:
-            return base + (self.second_derivatives(x),)
-        return base
-
 
 def make_identity(dim: int) -> VectorFieldSet:
     """Zero drift, identity diffusion: the solution is x0 + B."""
@@ -123,7 +115,6 @@ def make_identity(dim: int) -> VectorFieldSet:
         d2v=lambda x: zero_d2v,
         dv0=lambda x: zero_dv0,
         constant=True,
-        bound_hint=1.0,
         name="identity",
     )
 
@@ -184,7 +175,6 @@ def make_elliptic_sin_2d() -> VectorFieldSet:
         d2v=d2v,
         dv0=lambda x: np.zeros((2, 2)),
         smoothness_order=3,
-        bound_hint=1.2,
         name="elliptic_sin_2d",
     )
 
@@ -213,7 +203,6 @@ def make_drift_only(dim: int) -> VectorFieldSet:
         d2v=lambda x: np.zeros((dim, dim, dim, dim)),
         dv0=dv0,
         smoothness_order=3,
-        bound_hint=0.8,
         name="drift_only",
     )
 

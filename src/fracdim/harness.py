@@ -98,7 +98,10 @@ def _window(spec: ExperimentSpec, task: str, key: str):
 
 
 def _member_map(worker, spec: ExperimentSpec, indices, jobs: int, *args):
-    """Ordered, failure-tallied map of a member worker over the ensemble."""
+    """Failure-tallied map of a member worker over the ensemble.
+
+    Returns ({member index: result} in index order, {member index: error}).
+    """
     results: dict[int, object] = {}
     failures: dict[int, str] = {}
     if jobs <= 1:
@@ -118,7 +121,12 @@ def _member_map(worker, spec: ExperimentSpec, indices, jobs: int, *args):
     if len(failures) > DEFAULT_WINDOWS["member_failure_rate"] * max(len(indices), 1):
         sample = list(failures.items())[:3]
         raise RunError(f"{len(failures)} member failures, e.g. {sample}")
-    return [results[i] for i in sorted(results)], failures
+    return {i: results[i] for i in sorted(results)}, failures
+
+
+def _seeded(spec: ExperimentSpec, failures: dict[int, str]) -> dict[int, str]:
+    """Member failures keyed by the member's seed, as reports store them."""
+    return {member_seed(spec, i): err for i, err in failures.items()}
 
 
 # ----------------------------------------------------------- member workers
@@ -226,7 +234,7 @@ def _dim_task(kind, spec, jobs, out_dir, results, verdicts, rows):
     info = {}
     for fname in spec.fields:
         pairs, failures = _member_map(worker, spec, range(spec.ensemble), jobs, fname, octaves)
-        slopes = [s for s, _ in pairs]
+        slopes = [s for s, _ in pairs.values()]
         med = float(np.median(slopes))
         verdicts.append(
             Verdict(
@@ -236,8 +244,8 @@ def _dim_task(kind, spec, jobs, out_dir, results, verdicts, rows):
                 verdict="pass" if abs(med - target) <= tol else "fail",
             )
         )
-        info[fname] = {"median_slope": med, "slopes": slopes, "failures": failures}
-        for k, (s, r2) in enumerate(pairs):
+        info[fname] = {"median_slope": med, "slopes": slopes, "failures": _seeded(spec, failures)}
+        for k, (s, r2) in pairs.items():
             rows.append(
                 dict(estimator=kind, H=spec.hurst, d=spec.dim, n_points=spec.n_points,
                      seed=member_seed(spec, k), param=fname, slope=s, r2=r2, value=med)
@@ -260,7 +268,7 @@ def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
         )
         slopes = []
         hits = 0
-        for times, eta, _span in out:
+        for k, (times, eta, _span) in out.items():
             if times.size < min_pts:
                 continue
             hits += 1
@@ -275,7 +283,7 @@ def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
             slopes.append(est.slope)
             rows.append(
                 dict(estimator="levelset", H=spec.hurst, d=spec.dim,
-                     n_points=spec.n_points, seed=0, param=f"eta={eta:.3g}",
+                     n_points=spec.n_points, seed=member_seed(spec, k), param=f"eta={eta:.3g}",
                      slope=est.slope, r2=est.r_squared, value=times.size)
             )
         frac = hits / max(len(out), 1)
@@ -296,7 +304,8 @@ def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
                 verdict="pass" if frac >= hit_floor else "fail",
             )
         )
-        results["levelset"] = {"hit_fraction": frac, "median_slope": med, "slopes": slopes}
+        results["levelset"] = {"hit_fraction": frac, "median_slope": med, "slopes": slopes,
+                               "failures": _seeded(spec, failures)}
     else:
         halvings = int(params.get("halvings", 4))
         pilot = solve_member(spec, 0, fname).restrict(*restrict)
@@ -305,7 +314,7 @@ def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
         out, failures = _member_map(
             _hit_worker, spec, range(spec.ensemble), jobs, fname, restrict, etas
         )
-        fracs = [float(np.mean([flags[j] for flags, _ in out])) for j in range(halvings)]
+        fracs = [float(np.mean([flags[j] for flags, _ in out.values()])) for j in range(halvings)]
         decreasing = all(b < a for a, b in zip(fracs, fracs[1:]))
         verdicts.append(
             Verdict(
@@ -315,7 +324,8 @@ def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
                 verdict="pass" if decreasing else "fail",
             )
         )
-        results["levelset"] = {"hit_fractions": fracs, "etas": etas}
+        results["levelset"] = {"hit_fractions": fracs, "etas": etas,
+                               "failures": _seeded(spec, failures)}
 
 
 def _sup_worker(spec, k, fields_name, restricts):
@@ -339,14 +349,9 @@ def _task_tail(spec, jobs, out_dir, results, verdicts, rows):
     widths = [(interval[1] - interval[0]) / 2**j for j in range(halvings)]
     restricts = [(interval[0], interval[0] + w) for w in widths]
     out, failures = _member_map(_sup_worker, spec, range(spec.ensemble), jobs, fname, restricts)
-    sups = np.array(out)  # (m, halvings)
+    sups = np.array(list(out.values()))  # (m, halvings)
 
-    full = sups[:, 0]
-    qs = np.linspace(0.05, 0.99, 24)
-    xi = np.unique(np.quantile(full, qs))
-    probs = (full[None, :] >= xi[:, None]).mean(axis=1)
-    with np.errstate(divide="ignore"):
-        curve = dl.TailCurve(xi, np.log(probs), spec.ensemble, interval)
+    curve = dl.tail_curve(sups[:, 0], interval)
     best, slopes, r2s = dl.fit_tail_exponent(curve, ladder)
     r2_by_exp = dict(zip(ladder, r2s))
     delta = r2_by_exp[expected] - max(r2s)
@@ -392,10 +397,11 @@ def _task_tail(spec, jobs, out_dir, results, verdicts, rows):
     results["tail"] = {
         "best_exponent": best,
         "r2_by_exponent": {str(a): r for a, r in r2_by_exp.items()},
-        "xi": xi.tolist(),
+        "xi": curve.xi_values.tolist(),
         "log_probs": curve.log_probs.tolist(),
         "scaling_exceedances": ps,
         "rank_corr": rank,
+        "failures": _seeded(spec, failures),
     }
     with open(out_dir / "tail_curve.csv", "w", encoding="utf-8") as fh:
         fh.write("xi,log_prob\n")
@@ -411,7 +417,8 @@ def _task_density(spec, jobs, out_dir, results, verdicts, rows):
     env_floor = float(_window(spec, "density", "envelope_r2_increment"))
     mode_tol = float(_window(spec, "density", "kde_mode_rel_tol"))
 
-    pilot = dl._ensemble_samples_at(spec, (s, t), n_members=min(spec.ensemble, 256))
+    samples = dl._ensemble_samples_at(spec, (s, t))
+    pilot = samples[:256]  # the first members set the scale of the evaluation grid
     sd = float((pilot[:, 1, :] - pilot[:, 0, :]).std())
     if spec.dim == 1:
         centers = np.linspace(-4 * sd, 4 * sd, 81).reshape(-1, 1)
@@ -419,7 +426,7 @@ def _task_density(spec, jobs, out_dir, results, verdicts, rows):
         g = np.linspace(-3 * sd, 3 * sd, 15)
         mesh = np.meshgrid(*([g] * spec.dim), indexing="ij")
         centers = np.column_stack([m.ravel() for m in mesh])
-    est = dl.kde_increment(spec, (s, t), centers)
+    est = dl.kde_increment(samples, (s, t), centers)
     z = np.sqrt((est.centers**2).sum(axis=1))
     keep = z > 0.5 * sd
     slope, _, r2 = dl.upper_envelope_fit(z[keep], est.values[keep], expected)
@@ -462,12 +469,13 @@ def _task_bivariate(spec, jobs, out_dir, results, verdicts, rows):
     env_floor = float(_window(spec, "bivariate", "envelope_r2_bivariate"))
     oracle_tol = float(_window(spec, "bivariate", "bivariate_oracle_rel_tol"))
 
-    pilot = dl._ensemble_samples_at(spec, (s, t), n_members=min(spec.ensemble, 256))
+    samples = dl._ensemble_samples_at(spec, (s, t))
+    pilot = samples[:256]  # the first members set the scale of the evaluation grid
     sd = float((pilot[:, 1, :] - pilot[:, 0, :]).std())
     mags = np.linspace(0.0, 3.5 * sd, 8)
     offsets = np.zeros((mags.size, spec.dim))
     offsets[:, 0] = mags
-    pairs = dl.kde_bivariate_decay(spec, s, t, offsets)
+    pairs = dl.kde_bivariate_decay(samples, s, t, offsets)
     rs = np.array([r for r, _ in pairs])
     vs = np.array([v for _, v in pairs])
     x = rs ** (2 * gamma)
@@ -525,7 +533,7 @@ def _task_energy(spec, jobs, out_dir, results, verdicts, rows):
         out, failures = _member_map(
             _energy_worker, spec, range(spec.ensemble), jobs, fname, gamma, factors, restrict
         )
-        arr = np.array(out)  # (m, levels)
+        arr = np.array(list(out.values()))  # (m, levels)
         med = np.median(arr, axis=0)
         # paired per-member refinement ratios cancel member-to-member scale
         growth = [float(np.median(arr[:, j + 1] / arr[:, j])) for j in range(arr.shape[1] - 1)]
@@ -548,12 +556,13 @@ def _task_energy(spec, jobs, out_dir, results, verdicts, rows):
                 verdict="pass" if ok else "fail",
             )
         )
-        info[label] = {"gamma": gamma, "medians": med.tolist(), "growth": growth}
-        for k in range(arr.shape[0]):
+        info[label] = {"gamma": gamma, "medians": med.tolist(), "growth": growth,
+                       "failures": _seeded(spec, failures)}
+        for k, values in out.items():
             rows.append(
                 dict(estimator="energy", H=spec.hurst, d=spec.dim, n_points=spec.n_points,
                      seed=member_seed(spec, k), param=f"gamma={gamma:.4g}",
-                     slope=math.nan, r2=math.nan, value=float(arr[k, -1]))
+                     slope=math.nan, r2=math.nan, value=float(values[-1]))
             )
     results["energy"] = info
 
@@ -580,7 +589,7 @@ def _task_mu(spec, jobs, out_dir, results, verdicts, rows):
     out, failures = _member_map(
         _mu_worker, spec, range(spec.ensemble), jobs, fname, gamma, sharpness, restrict
     )
-    arr = np.array(out)  # (m, len(sharpness), 2)
+    arr = np.array(list(out.values()))  # (m, len(sharpness), 2)
     mass_means = arr[:, :, 0].mean(axis=0)
     mass2_means = (arr[:, :, 0] ** 2).mean(axis=0)
     energy_means = arr[:, :, 1].mean(axis=0)
@@ -610,6 +619,7 @@ def _task_mu(spec, jobs, out_dir, results, verdicts, rows):
         "mass_means": mass_means.tolist(),
         "mass2_means": mass2_means.tolist(),
         "energy_means": energy_means.tolist(),
+        "failures": _seeded(spec, failures),
     }
 
 

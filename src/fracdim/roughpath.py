@@ -27,7 +27,6 @@ __all__ = [
     "required_depth",
     "rho_variation_2d",
     "segment_signature",
-    "signature_to_json",
 ]
 
 #: largest grid for which exact partition suprema are computed
@@ -61,9 +60,6 @@ class TruncatedTensor:
                 raise ValueError("tensor entries must be finite")
             fixed.append(arr)
         object.__setattr__(self, "levels", tuple(fixed))
-
-    def level(self, m: int) -> np.ndarray:
-        return self.levels[m]
 
 
 @dataclass(frozen=True)
@@ -115,13 +111,11 @@ class SignaturePath:
         )
 
     def combined(self, i: int, j: int) -> TruncatedTensor:
-        """Signature over [t_i, t_j]: left fold of the interval increments."""
+        """Signature over [t_i, t_j], in closed form from the running signatures."""
         if not 0 <= i < j <= self.n_intervals:
             raise ValueError("need 0 <= i < j <= n_intervals")
-        acc = self.increment(i)
-        for k in range(i + 1, j):
-            acc = chen_concat(acc, self.increment(k))
-        return acc
+        levels = _between(_cumulative(self), i, j)
+        return TruncatedTensor(self.dim, self.depth, (np.array(1.0), *levels))
 
 
 def identity_tensor(dim: int, depth: int) -> TruncatedTensor:
@@ -254,6 +248,30 @@ def _cumulative(sig: SignaturePath) -> list[np.ndarray]:
     return out
 
 
+def _between(cum: list[np.ndarray], i, j: int) -> list[np.ndarray]:
+    """Levels 1..depth of g_i^-1 (x) g_j, the signature over [t_i, t_j].
+
+    ``cum`` holds the running signatures of ``_cumulative``; an index array or
+    slice ``i`` stacks the result along a leading axis.
+    """
+    a1 = cum[0][i]
+    l1 = cum[0][j] - a1
+    out = [l1]
+    if len(cum) >= 2:
+        a2 = cum[1][i]
+        d2 = cum[1][j] - a2
+        out.append(d2 - np.einsum("...i,...j->...ij", a1, l1))
+    if len(cum) >= 3:
+        out.append(
+            cum[2][j]
+            - cum[2][i]
+            - np.einsum("...ij,...l->...ijl", a2, l1)
+            - np.einsum("...i,...jl->...ijl", a1, d2)
+            + np.einsum("...i,...j,...l->...ijl", a1, a1, l1)
+        )
+    return out
+
+
 def _dyadic_nodes(n_nodes: int, max_nodes: int) -> np.ndarray:
     levels = 0
     while 2 ** (levels + 1) + 1 <= max_nodes:
@@ -277,29 +295,16 @@ def p_variation(sig: SignaturePath, p: float, dyadic: bool = False) -> Partition
         nodes = _dyadic_nodes(n_nodes, DP_MAX_N)
     else:
         nodes = np.arange(n_nodes)
-    cum = _cumulative(sig)
-    g1 = cum[0][nodes]
-    g2 = cum[1][nodes] if sig.depth >= 2 else None
-    g3 = cum[2][nodes] if sig.depth >= 3 else None
+    cum = [g[nodes] for g in _cumulative(sig)]
     m = nodes.size
     best = np.empty(m)
     best[0] = 0.0
     ptr = np.zeros(m, dtype=int)
     for j in range(1, m):
-        l1 = g1[j] - g1[:j]
-        norm = np.sqrt((l1**2).sum(axis=-1))
-        if g2 is not None:
-            l2 = g2[j] - g2[:j] - np.einsum("ki,kj->kij", g1[:j], l1)
-            np.maximum(norm, (l2**2).sum(axis=(-2, -1)) ** 0.25, out=norm)
-        if g3 is not None:
-            l3 = (
-                g3[j]
-                - g3[:j]
-                - np.einsum("kij,kl->kijl", g2[:j], l1)
-                - np.einsum("ki,kjl->kijl", g1[:j], g2[j] - g2[:j])
-                + np.einsum("ki,kj,kl->kijl", g1[:j], g1[:j], l1)
-            )
-            np.maximum(norm, (l3**2).sum(axis=(-3, -2, -1)) ** (1.0 / 6.0), out=norm)
+        norm = np.zeros(j)
+        for order, lv in enumerate(_between(cum, slice(0, j), j), start=1):
+            size = (lv.reshape(j, -1) ** 2).sum(axis=-1) ** (0.5 / order)
+            np.maximum(norm, size, out=norm)
         cand = best[:j] + norm**p
         k = int(np.argmax(cand))
         best[j] = cand[k]
@@ -333,16 +338,3 @@ def rho_variation_2d(cov: CovarianceGrid, rho: float) -> float:
         best = max(best, float((np.abs(rect) ** rho).sum() ** (1.0 / rho)))
     return best
 
-
-def signature_to_json(sig: SignaturePath) -> dict:
-    """JSON-ready dump used by docs and tests."""
-    return {
-        "dim": sig.dim,
-        "depth": sig.depth,
-        "grid": {
-            "n_points": sig.grid.n_points,
-            "t_start": sig.grid.t_start,
-            "t_end": sig.grid.t_end,
-        },
-        "levels": [lv.tolist() for lv in sig.levels],
-    }

@@ -34,10 +34,9 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverScheme:
-    """Increment scheme choice; step_count is informational (0 = from driver)."""
+    """Increment scheme choice."""
 
     kind: str
-    step_count: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in _SCHEME_DEPTH:
@@ -48,9 +47,19 @@ class SolverScheme:
         return _SCHEME_DEPTH[self.kind]
 
 
-def scheme_for(h: HurstParam | float) -> SolverScheme:
-    """step2_davie above H = 1/3, step3 at or below."""
-    return SolverScheme("step2_davie" if required_depth(h) == 2 else "step3")
+def scheme_for(h: HurstParam | float, kind: str = "auto") -> SolverScheme:
+    """Checked scheme for Hurst index h.
+
+    ``auto`` resolves to step2_davie above H = 1/3 and step3 at or below;
+    step2_davie is rejected for H <= 1/3.
+    """
+    depth = required_depth(h)
+    if kind == "auto":
+        kind = "step2_davie" if depth == 2 else "step3"
+    scheme = SolverScheme(kind)
+    if scheme.depth < depth:
+        raise ValueError("step3 is required for H <= 1/3")
+    return scheme
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,17 @@ def _validate_shapes(fields: VectorFieldSet, x0: np.ndarray, depth: int) -> None
         raise ValueError("second derivatives must have shape (n, n, n, d)")
 
 
+def _constant_field_path(
+    fields: VectorFieldSet, x0: np.ndarray, path: np.ndarray, grid: TimeGrid
+) -> np.ndarray:
+    """Exact solution for state-independent fields: x0 + path V^T + (t - t0) V0."""
+    out = x0[None, :] + path @ fields.v(x0).T
+    v0 = fields.v0(x0)
+    if np.any(v0):
+        out = out + np.outer(grid.points - grid.t_start, v0)
+    return out
+
+
 def solve(
     fields: VectorFieldSet,
     x0: np.ndarray,
@@ -107,7 +127,7 @@ def solve(
     and its first derivatives (plus the drift Taylor pair V0 dt and
     DV0 V0 dt^2/2); step-3 adds level-3 contractions with second derivatives.
     Deterministic given its inputs; aborts with the step index if the state
-    passes the overflow guard.
+    passes the overflow guard or turns NaN.
     """
     x0 = np.asarray(x0, dtype=float)
     if driver.dim != fields.dim_noise:
@@ -116,24 +136,16 @@ def solve(
         raise ValueError(
             f"{scheme.kind} needs driver depth >= {scheme.depth}, got {driver.depth}"
         )
-    if (
-        scheme.kind == "step2_davie"
-        and driver.hurst is not None
-        and required_depth(driver.hurst) == 3
-    ):
-        raise ValueError("step3 is required for H <= 1/3")
+    if driver.hurst is not None:
+        scheme_for(driver.hurst, scheme.kind)
     _validate_shapes(fields, x0, scheme.depth)
 
     grid = driver.grid
-    dt = grid.spacing
     b1 = driver.levels[0]
     if fields.constant:
         # state-independent fields: derivative contractions vanish identically
-        inc = b1 @ fields.v(x0).T + fields.v0(x0) * dt
-        out = x0[None, :] + np.concatenate(
-            [np.zeros((1, fields.dim_state)), np.cumsum(inc, axis=0)], axis=0
-        )
-        return SamplePath(grid, out, hurst=driver.hurst)
+        path = np.concatenate([np.zeros((1, driver.dim)), np.cumsum(b1, axis=0)], axis=0)
+        return SamplePath(grid, _constant_field_path(fields, x0, path, grid), hurst=driver.hurst)
 
     b2 = driver.levels[1] if scheme.depth >= 2 else None
     b3 = driver.levels[2] if scheme.depth >= 3 else None
@@ -141,6 +153,7 @@ def solve(
     out = np.empty((n_steps + 1, fields.dim_state))
     out[0] = x0
     x = x0
+    dt = grid.spacing
     half_dt2 = 0.5 * dt * dt
     for k in range(n_steps):
         v0x = fields.v0(x)
@@ -157,7 +170,7 @@ def solve(
             u = np.einsum("lb,mbc->mlc", vx, t1)
             dx += np.tensordot(d2vx, u, 3)
         x = x + dx
-        if np.abs(x).max() > OVERFLOW_GUARD:
+        if not (np.abs(x).max() <= OVERFLOW_GUARD):  # also catches NaN
             raise SolverError(f"state overflow at step {k + 1}")
         out[k + 1] = x
     return SamplePath(grid, out, hurst=driver.hurst)
@@ -181,12 +194,11 @@ def convergence_probe(
     """
     if levels < 3:
         raise ValueError("levels must be >= 3")
-    if scheme is None:
-        scheme = scheme_for(h)
+    scheme = scheme_for(h, "auto" if scheme is None else scheme.kind)
     finest = coarsest_exponent + levels - 1
     grid = TimeGrid(2**finest + 1, 0.0, t_end)
     driver_path = generate_circulant(grid, fields.dim_noise, h, seed)
-    sig = lift_path(driver_path, max(scheme.depth, required_depth(h)))
+    sig = lift_path(driver_path, scheme.depth)
     reference = solve(fields, x0, sig, scheme).values
     results = []
     for j in range(coarsest_exponent, finest):

@@ -21,6 +21,10 @@ def collect_sups(spec):
     return sups
 
 
+def samples_at(spec, *times):
+    return dl._ensemble_samples_at(spec, times)
+
+
 # ------------------------------------------------------------------ sup stat
 
 def test_sup_increment_1d_is_range():
@@ -35,30 +39,41 @@ def test_sup_increment_2d_matches_brute_force():
     assert dl.sup_increment(v) == pytest.approx(brute, rel=1e-12)
 
 
+def test_sup_increment_collinear_cloud_is_diameter():
+    t = np.linspace(0.0, 1.0, 7)
+    v = np.column_stack([3 * t, 4 * t])
+    assert dl.sup_increment(v) == pytest.approx(5.0, rel=1e-12)
+
+
+def test_sup_increment_rejects_nan_cloud():
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [np.nan, 0.5]])
+    with pytest.raises(ValueError):
+        dl.sup_increment(v)
+
+
 # ----------------------------------------------------------------- tail curve
 
 def test_tail_curve_at_zero_has_probability_one():
-    spec = brownian_spec(1000, n_points=64)
-    curve = dl.tail_curve_sup_increment(spec, (0.0, 1.0), xi_grid=[0.0, 0.5, 1.0])
+    sups = collect_sups(brownian_spec(1000, n_points=64))
+    curve = dl.tail_curve(sups, (0.0, 1.0), xi_grid=[0.0, 0.5, 1.0])
     assert curve.log_probs[0] == 0.0
     assert np.all(np.diff(curve.log_probs[np.isfinite(curve.log_probs)]) <= 1e-12)
 
 
 def test_tail_curve_warns_when_all_sentinel():
-    spec = brownian_spec(1000, n_points=64)
+    sups = collect_sups(brownian_spec(1000, n_points=64))
     with pytest.warns(UserWarning, match="too coarse"):
-        curve = dl.tail_curve_sup_increment(spec, (0.0, 1.0), xi_grid=[50.0, 60.0])
+        curve = dl.tail_curve(sups, (0.0, 1.0), xi_grid=[50.0, 60.0])
     assert curve.all_sentinel
 
 
 def test_tail_curve_needs_ensemble():
     with pytest.raises(ValueError, match="ensemble"):
-        dl.tail_curve_sup_increment(brownian_spec(10), (0.0, 1.0))
+        dl.tail_curve(collect_sups(brownian_spec(10)), (0.0, 1.0))
 
 
 def test_brownian_tail_selects_square_exponent():
-    spec = brownian_spec(10_000)
-    curve = dl.tail_curve_sup_increment(spec, (0.0, 1.0))
+    curve = dl.tail_curve(collect_sups(brownian_spec(10_000)), (0.0, 1.0))
     best, slopes, r2s = dl.fit_tail_exponent(curve, [1.6, 1.8, 2.0, 2.2])
     assert best == 2.0
     assert r2s[2] >= 0.9
@@ -66,8 +81,7 @@ def test_brownian_tail_selects_square_exponent():
 
 
 def test_h04_exponent_fits_at_least_as_well():
-    spec = brownian_spec(10_000, h=0.4)
-    curve = dl.tail_curve_sup_increment(spec, (0.0, 1.0))
+    curve = dl.tail_curve(collect_sups(brownian_spec(10_000, h=0.4)), (0.0, 1.0))
     _, _, r2s = dl.fit_tail_exponent(curve, [1.8, 2.0])
     assert r2s[0] >= r2s[1] - 0.02
 
@@ -110,35 +124,6 @@ def test_tail_curve_validation():
         TailCurve(np.array([1.0, 2.0]), np.array([-2.0, -1.0]), 10, (0, 1))
 
 
-# -------------------------------------------------------------- time scaling
-
-def test_scaling_check_monotone_and_positive_association():
-    from dataclasses import replace
-
-    spec = brownian_spec(2000, n_points=256)
-    intervals = [(0.0, 0.5 / 2**k) for k in range(4)]
-    pilot = collect_sups(replace(spec, ensemble=500))
-    xi = float(np.quantile(pilot, 0.6))
-    pairs, slope = dl.scaling_check_time(spec, intervals, xi)
-    probs = [math.exp(lp) if math.isfinite(lp) else 0.0 for _, lp in pairs]
-    inversions = sum(b >= a for a, b in zip(probs, probs[1:]))
-    assert inversions <= 1
-    assert slope > 0
-
-
-def test_scaling_check_requires_shared_start():
-    spec = brownian_spec(1000, n_points=64)
-    with pytest.raises(ValueError, match="share"):
-        dl.scaling_check_time(spec, [(0.0, 0.5), (0.1, 0.6)], 0.5)
-
-
-def test_scaling_check_huge_xi_warns():
-    spec = brownian_spec(1000, n_points=64)
-    with pytest.warns(UserWarning, match="too few"):
-        pairs, slope = dl.scaling_check_time(spec, [(0.0, 1.0), (0.0, 0.5)], 100.0)
-    assert all(not math.isfinite(lp) for _, lp in pairs)
-
-
 # ----------------------------------------------------------------------- kde
 
 def test_kde_increment_matches_gaussian_benchmark():
@@ -146,7 +131,7 @@ def test_kde_increment_matches_gaussian_benchmark():
     s, t = 0.125, 0.875
     sd = math.sqrt(t - s)
     centers = np.linspace(-4 * sd, 4 * sd, 81)
-    est = dl.kde_increment(spec, (s, t), centers)
+    est = dl.kde_increment(samples_at(spec, s, t), (s, t), centers)
     exact = 1.0 / math.sqrt(2 * math.pi * (t - s))
     assert est.values[40] == pytest.approx(exact, rel=0.10)
     # symmetric law: mirrored estimate agrees within a few percent
@@ -161,7 +146,7 @@ def test_kde_increment_envelope_r2():
     s, t = 0.125, 0.875
     sd = math.sqrt(t - s)
     centers = np.linspace(-4 * sd, 4 * sd, 81)
-    est = dl.kde_increment(spec, (s, t), centers)
+    est = dl.kde_increment(samples_at(spec, s, t), (s, t), centers)
     z = np.abs(centers)
     keep = z > 0.5 * sd
     slope, _, r2 = dl.upper_envelope_fit(z[keep], est.values[keep], 2.0)
@@ -171,32 +156,34 @@ def test_kde_increment_envelope_r2():
 
 def test_kde_increment_guards():
     with pytest.raises(ValueError, match="ensemble"):
-        dl.kde_increment(brownian_spec(100), (0.125, 0.875), np.zeros(1))
-    spec = brownian_spec(10_000, n_points=64)
+        dl.kde_increment(samples_at(brownian_spec(100), 0.125, 0.875), (0.125, 0.875), np.zeros(1))
+    samples = samples_at(brownian_spec(10_000, n_points=64), 0.5, 0.5)
     with pytest.raises(ValueError, match="zero spread"):
-        dl.kde_increment(spec, (0.5, 0.5), np.zeros(1))
+        dl.kde_increment(samples, (0.5, 0.5), np.zeros(1))
+    with pytest.raises(ValueError, match="away from 0"):
+        dl.kde_increment(samples, (0.0, 0.5), np.zeros(1))
 
 
 # ---------------------------------------------------------------- positivity
 
 def test_positivity_scan_brownian_window():
     spec = brownian_spec(20_000, n_points=64)
-    res = dl.positivity_scan(spec, 1.0, (-1.0, 1.0))
+    res = dl.positivity_scan(samples_at(spec, 1.0)[:, 0], 1.0, (-1.0, 1.0))
     assert res.verdict == "positive"
     assert res.min_value >= 0.1  # exact Gaussian density at |y| = 1 is 0.2420
 
 
 def test_positivity_scan_untestable_paths():
-    tiny = brownian_spec(10, n_points=64)
+    tiny = samples_at(brownian_spec(10, n_points=64), 1.0)[:, 0]
     assert dl.positivity_scan(tiny, 1.0, (-1.0, 1.0)).verdict == "untestable"
-    far = brownian_spec(500, n_points=64)
+    far = samples_at(brownian_spec(500, n_points=64), 1.0)[:, 0]
     assert dl.positivity_scan(far, 1.0, (50.0, 51.0)).verdict == "untestable"
 
 
 def test_positivity_scan_lattice_cap():
-    spec = brownian_spec(500, n_points=64, dim=2)
+    samples = samples_at(brownian_spec(500, n_points=64, dim=2), 1.0)[:, 0]
     with pytest.raises(ValueError, match="lattice"):
-        dl.positivity_scan(spec, 1.0, (-1.0, 1.0), lattice_per_dim=101)
+        dl.positivity_scan(samples, 1.0, (-1.0, 1.0), lattice_per_dim=101)
 
 
 # ----------------------------------------------------------------- bivariate
@@ -204,7 +191,7 @@ def test_positivity_scan_lattice_cap():
 def test_bivariate_offset_zero_is_maximal():
     spec = brownian_spec(100_000, n_points=64)
     offs = np.array([0.0, 0.3, 0.6, 0.9, 1.2])
-    pairs = dl.kde_bivariate_decay(spec, 0.25, 0.75, offs)
+    pairs = dl.kde_bivariate_decay(samples_at(spec, 0.25, 0.75), 0.25, 0.75, offs)
     vals = [v for _, v in pairs]
     assert vals[0] == max(vals)
     assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -212,7 +199,9 @@ def test_bivariate_offset_zero_is_maximal():
 
 def test_bivariate_needs_large_ensemble():
     with pytest.raises(ValueError, match="ensemble"):
-        dl.kde_bivariate_decay(brownian_spec(1000), 0.25, 0.75, np.array([0.0]))
+        dl.kde_bivariate_decay(
+            samples_at(brownian_spec(1000), 0.25, 0.75), 0.25, 0.75, np.array([0.0])
+        )
 
 
 # ------------------------------------------------------------ split stability
@@ -246,6 +235,6 @@ def test_positivity_scan_elliptic_2d():
         name="p2", hurst=0.5, dim=2, n_points=64, ensemble=2000,
         base_seed=77, fields=("elliptic_sin_2d",),
     )
-    res = dl.positivity_scan(spec, 1.0, (-0.5, 0.5), lattice_per_dim=21)
+    res = dl.positivity_scan(samples_at(spec, 1.0)[:, 0], 1.0, (-0.5, 0.5), lattice_per_dim=21)
     assert res.verdict == "positive"
     assert res.min_value > 0.0

@@ -263,6 +263,16 @@ def test_path_binary_layout():
     assert len(raw) == 4 + 4 + 8 + 4 + 8 + 8 + 8 + 8 + 2 * 8
 
 
+def test_path_binary_rejects_payload_length_mismatch():
+    buf = io.BytesIO()
+    fbm.write_path(fbm.generate_circulant(unit_grid(17), 2, 0.6, seed=11), buf)
+    raw = buf.getvalue()
+    with pytest.raises(ValueError, match="payload"):
+        fbm.read_path(io.BytesIO(raw + b"\x00"))
+    with pytest.raises(ValueError, match="payload"):
+        fbm.read_path(io.BytesIO(raw[:-8]))
+
+
 def test_path_csv_export():
     p = SamplePath(TimeGrid(2, 0.0, 1.0), np.array([[0.0, 1.5], [1.0 / 3.0, -2.0]]))
     buf = io.StringIO()

@@ -240,3 +240,43 @@ def test_mu_task_untestable_when_level_sets_empty(tmp_path):
     report = run(spec, tasks=("mu",))
     assert [v.verdict for v in report.verdicts] == ["untestable"]
     assert report.passed  # untestable keeps the exit contract green
+
+
+def _failure_maps(node):
+    """Every ``failures`` mapping in a results tree."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "failures":
+                yield value
+            else:
+                yield from _failure_maps(value)
+
+
+@pytest.mark.parametrize(
+    "task, n_points, ensemble",
+    [("dim_image", 256, 100), ("levelset", 1024, 100), ("tail", 64, 1001),
+     ("energy", 64, 100), ("mu", 256, 100)],
+)
+def test_member_failure_is_reported_under_its_seed(tmp_path, monkeypatch, task, n_points, ensemble):
+    from fracdim import harness
+
+    real = harness.solve_member
+
+    def member_1_fails(spec, k, *args):
+        if k == 1:
+            raise ValueError("boom")
+        return real(spec, k, *args)
+
+    monkeypatch.setattr(harness, "solve_member", member_1_fails)
+    spec = small_spec(tmp_path, n_points=n_points, ensemble=ensemble, base_seed=500)
+    report = run(spec, tasks=(task,), jobs=1)
+    maps = list(_failure_maps(report.results))
+    assert maps and all(m == {501: "ValueError: boom"} for m in maps)
+    csv = tmp_path / "small" / "estimates.csv"
+    seeds = [int(line.split(",")[4]) for line in csv.read_text().splitlines()[1:]] if csv.exists() else []
+    survivors = {500 + k for k in range(ensemble) if k != 1}
+    assert set(seeds) <= survivors
+    if task in ("dim_image", "energy"):  # one row per surviving member
+        assert set(seeds) == survivors
+    if task == "levelset":
+        assert seeds  # some members hit the level

@@ -255,6 +255,33 @@ def test_p_variation_fbm_refinement_trend():
     assert (tame[-1] - tame[-2]) / tame[-2] <= 0.05
 
 
+def chen_fold(sig, i, j):
+    acc = sig.increment(i)
+    for k in range(i + 1, j):
+        acc = rp.chen_concat(acc, sig.increment(k))
+    return acc
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_closed_form_increments_match_chen_fold(depth):
+    # combined and p_variation read increments in closed form off the running
+    # signatures; the interval-by-interval Chen fold is the reference
+    rng = np.random.default_rng(depth)
+    sig = rp.lift_path(make_path(rng.normal(size=(7, 2)).cumsum(axis=0)), depth)
+    for i in range(6):
+        for j in range(i + 1, 7):
+            assert tensors_close(sig.combined(i, j), chen_fold(sig, i, j), tol=1e-12)
+    p = 2.5
+    brute = 0.0
+    for mask in range(2**5):  # every sub-partition keeping both end points
+        part = [0] + [k for k in range(1, 6) if mask >> (k - 1) & 1] + [6]
+        total = sum(
+            rp.homogeneous_norm(chen_fold(sig, a, b)) ** p for a, b in zip(part, part[1:])
+        )
+        brute = max(brute, total)
+    assert rp.p_variation(sig, p).value == pytest.approx(brute ** (1 / p), rel=1e-12)
+
+
 def test_p_variation_rejects_big_grid_without_flag():
     sig = rp.lift_path(
         make_path(np.zeros(rp.DP_MAX_N + 2)), 2
@@ -298,14 +325,3 @@ def test_rho_variation_validation():
     cov = fbm.build_covariance_grid(TimeGrid(5, 0.0, 1.0), 0.5)
     with pytest.raises(ValueError):
         rp.rho_variation_2d(cov, 0.9)
-
-
-# ----------------------------------------------------------------- json dump
-
-def test_signature_json_dump_fields():
-    sig = rp.lift_path(make_path(np.linspace(0, 1, 5)), 2)
-    doc = rp.signature_to_json(sig)
-    assert doc["dim"] == 1 and doc["depth"] == 2
-    assert doc["grid"]["n_points"] == 5
-    assert len(doc["levels"]) == 2
-    assert len(doc["levels"][0]) == 4

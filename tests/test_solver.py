@@ -155,6 +155,23 @@ def test_solve_overflow_guard_reports_step():
         solver.solve(blow, np.array([10.0]), sig, SolverScheme("step2_davie"))
 
 
+def test_solve_nan_state_reports_step():
+    # unit drift moves the state by 1/128 a step, past 0.5 at step 65; the drift
+    # is NaN from there on, so the state turns NaN at step 66
+    nan_past_half = VectorFieldSet(
+        dim_state=1,
+        dim_noise=1,
+        v0=lambda x: np.array([np.nan if x[0] > 0.5 else 1.0]),
+        v=lambda x: np.zeros((1, 1)),
+        dv=lambda x: np.zeros((1, 1, 1)),
+        dv0=lambda x: np.zeros((1, 1)),
+    )
+    flat = SamplePath(TimeGrid(129, 0.0, 1.0), np.zeros((129, 1)))
+    sig = rp.lift_path(flat, 2)
+    with pytest.raises(solver.SolverError, match="step 66"):
+        solver.solve(nan_past_half, np.zeros(1), sig, SolverScheme("step2_davie"))
+
+
 def test_finite_difference_fallback_matches_analytic():
     analytic = fields.make_elliptic_sin_2d()
     fd = VectorFieldSet(
