@@ -1,12 +1,15 @@
 """Experiment specifications: the declarative description of one run.
 
 Configs are flat ``key = value`` text with one optional ``[task]`` section per
-estimator carrying its parameters.  Parsing fills defaults, resolves
+estimator carrying its parameters.  ``TASK_PARAMS`` is the one table of every
+section key, with its type and default; a spec rejects an unknown or wrongly
+typed section key, however it was built.  Parsing fills defaults, resolves
 ``scheme = auto`` against the Hurst index, and rejects unknown keys with
 distinct messages.
 """
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,6 +25,7 @@ __all__ = [
     "ALL_TASKS",
     "ConfigError",
     "ExperimentSpec",
+    "TASK_PARAMS",
     "generate_driver",
     "member_seed",
     "parse_spec",
@@ -29,34 +33,60 @@ __all__ = [
     "solve_member",
 ]
 
-ALL_TASKS = (
-    "generate",
-    "solve",
-    "dim_image",
-    "dim_graph",
-    "levelset",
-    "tail",
-    "density",
-    "bivariate",
-    "energy",
-    "mu",
-)
+
+#: task -> section key -> default; a key's value must have its default's type
+#: (int, float, or a tuple of ints written comma-separated).  A callable default
+#: depends on the spec and gives a float.  Keys that bound a verdict are its
+#: window; the rest set up the estimator.
+TASK_PARAMS: dict[str, dict] = {
+    "generate": {},
+    "solve": {},
+    "dim_image": {"octaves": 4, "slope_tol": 0.15},
+    "dim_graph": {"octaves": 4, "slope_tol": 0.15},
+    "levelset": {"t_lo": 0.1, "t_hi": lambda spec: float(spec.t_range[1]), "halvings": 4,
+                 "slope_tol": 0.15, "levelset_hit_floor": 0.10, "levelset_min_points": 32},
+    "tail": {"s": lambda spec: float(spec.t_range[0]), "t": lambda spec: float(spec.t_range[1]),
+             "halvings": 4, "xi_quantile": 0.9,
+             "tail_r2_floor": 0.9, "tail_delta_r2": 0.02, "tail_rank_corr": 0.8},
+    "density": {"s": 0.1, "t": lambda spec: 0.9 * spec.t_range[1],
+                "envelope_r2_increment": 0.85, "kde_mode_rel_tol": 0.10},
+    "bivariate": {"s": 0.25, "t": 0.75,
+                  "envelope_r2_bivariate": 0.80, "bivariate_oracle_rel_tol": 0.15},
+    "energy": {"gamma_offset": 0.13, "levels": 4,
+               "energy_stable_growth": 1.07, "energy_grow_last": 1.10, "energy_grow_total": 1.35},
+    "mu": {"delta": 0.2, "sharpness": (4, 16, 64, 256), "t_lo": 0.1,
+           "mu_mass_floor": 0.5, "mu_final_growth": 1.35},
+}
+
+ALL_TASKS = tuple(TASK_PARAMS)
 
 _GENERATORS = ("cholesky", "circulant")
-_TOP_KEYS = {
-    "name",
-    "hurst",
-    "dim",
-    "n_points",
-    "t_start",
-    "t_end",
-    "generator",
-    "fields",
-    "scheme",
-    "ensemble",
-    "base_seed",
-    "output_dir",
-    "tasks",
+
+
+def _as_type_of(default, value):
+    """``value`` converted to the type of ``default``; ValueError if it has another."""
+    if isinstance(default, tuple) and isinstance(value, (numbers.Integral, str)):
+        try:
+            return tuple(int(v) for v in str(value).split(","))
+        except ValueError:
+            pass
+    elif isinstance(default, int) and isinstance(value, numbers.Integral):
+        return int(value)
+    elif not isinstance(default, (int, tuple)) and isinstance(value, numbers.Real):
+        return float(value)
+    kind = {tuple: "comma-separated integers", int: "an integer"}.get(type(default), "a number")
+    raise ValueError(f"expected {kind}")
+
+
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+#: top-level key -> converter from its text; t_start and t_end form t_range
+_TOP_LEVEL = {
+    "name": str, "hurst": float, "dim": int, "n_points": int, "t_start": float, "t_end": float,
+    "generator": str, "fields": _names, "scheme": str, "ensemble": int, "base_seed": int,
+    "output_dir": str, "tasks": _names,
 }
 
 
@@ -110,6 +140,8 @@ class ExperimentSpec:
         for task in self.tasks:
             if task not in ALL_TASKS:
                 raise ConfigError(f"unknown task '{task}'")
+        for task in self.estimator_params:
+            self.task_settings(task)  # rejects an unknown or wrongly typed key
 
     @property
     def grid(self) -> TimeGrid:
@@ -117,7 +149,28 @@ class ExperimentSpec:
         return TimeGrid(self.n_points + 1, self.t_range[0], self.t_range[1])
 
     def task_params(self, task: str) -> dict:
+        """The task's section as written."""
         return dict(self.estimator_params.get(task, {}))
+
+    def task_settings(self, task: str) -> dict:
+        """Every parameter and window of the task: the section over the table's defaults."""
+        if task not in TASK_PARAMS:
+            raise ConfigError(f"unknown task section '[{task}]'")
+        params = self.estimator_params.get(task, {})
+        unknown = sorted(params.keys() - TASK_PARAMS[task].keys())
+        if unknown:
+            known = ", ".join(TASK_PARAMS[task]) or "none"
+            raise ConfigError(f"unknown key '{unknown[0]}' in [{task}] (known: {known})")
+        settings = {}
+        for key, default in TASK_PARAMS[task].items():
+            if key not in params:
+                settings[key] = default(self) if callable(default) else default
+                continue
+            try:
+                settings[key] = _as_type_of(default, params[key])
+            except ValueError as exc:
+                raise ConfigError(f"[{task}] {key} = {params[key]!r}: {exc}") from None
+        return settings
 
     def resolved_output_dir(self) -> Path:
         root = self.output_dir or os.environ.get("FRACDIM_OUT") or "out"
@@ -125,15 +178,11 @@ class ExperimentSpec:
 
 
 def _parse_scalar(raw: str):
-    raw = raw.strip()
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
+    for convert in (int, float):
+        try:
+            return convert(raw)
+        except ValueError:
+            pass
     return raw
 
 
@@ -147,10 +196,7 @@ def parse_spec(text: str) -> ExperimentSpec:
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            task = line[1:-1].strip()
-            if task not in ALL_TASKS:
-                raise ConfigError(f"unknown task section '[{task}]' (line {lineno})")
-            current = sections.setdefault(task, {})
+            current = sections.setdefault(line[1:-1].strip(), {})
             continue
         if "=" not in line:
             raise ConfigError(f"expected 'key = value' (line {lineno})")
@@ -158,40 +204,17 @@ def parse_spec(text: str) -> ExperimentSpec:
         if current is not None:
             current[key] = _parse_scalar(raw)
             continue
-        if key not in _TOP_KEYS:
+        if key not in _TOP_LEVEL:
             raise ConfigError(f"unknown key '{key}' (line {lineno})")
-        top[key] = raw
-    if "name" not in top:
-        raise ConfigError("name is required")
-    if "hurst" not in top:
-        raise ConfigError("hurst is required")
-    kwargs: dict = {
-        "name": top["name"],
-        "hurst": float(top["hurst"]),
-        "estimator_params": sections,
-    }
-    if "dim" in top:
-        kwargs["dim"] = int(top["dim"])
-    if "n_points" in top:
-        kwargs["n_points"] = int(top["n_points"])
-    t0 = float(top.get("t_start", 0.0))
-    t1 = float(top.get("t_end", 1.0))
-    kwargs["t_range"] = (t0, t1)
-    if "generator" in top:
-        kwargs["generator"] = top["generator"]
-    if "fields" in top:
-        kwargs["fields"] = tuple(f.strip() for f in top["fields"].split(",") if f.strip())
-    if "scheme" in top:
-        kwargs["scheme"] = top["scheme"]
-    if "ensemble" in top:
-        kwargs["ensemble"] = int(top["ensemble"])
-    if "base_seed" in top:
-        kwargs["base_seed"] = int(top["base_seed"])
-    if "output_dir" in top:
-        kwargs["output_dir"] = top["output_dir"]
-    if "tasks" in top:
-        kwargs["tasks"] = tuple(t.strip() for t in top["tasks"].split(",") if t.strip())
-    return ExperimentSpec(**kwargs)
+        try:
+            top[key] = _TOP_LEVEL[key](raw)
+        except ValueError:
+            raise ConfigError(f"{key} = {raw!r} is not a valid value (line {lineno})") from None
+    for key in ("name", "hurst"):
+        if key not in top:
+            raise ConfigError(f"{key} is required")
+    t_range = (top.pop("t_start", 0.0), top.pop("t_end", 1.0))
+    return ExperimentSpec(**top, t_range=t_range, estimator_params=sections)
 
 
 def parse_spec_file(path: str | Path) -> ExperimentSpec:

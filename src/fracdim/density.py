@@ -115,15 +115,18 @@ def tail_curve(
     sups: np.ndarray,
     interval: tuple[float, float],
     xi_grid: np.ndarray | None = None,
+    ensemble: int | None = None,
 ) -> TailCurve:
     """Empirical P(sup |X_v - X_u| >= xi) over [interval] from per-member sups.
 
     With xi_grid omitted, a quantile ladder of the realized statistics is
     used.  Exceedance zero yields the -inf sentinel; an all-sentinel curve is
-    reported with a warning (the xi grid was too coarse).
+    reported with a warning (the xi grid was too coarse).  The ensemble floor
+    applies to ``ensemble``, the members requested (default: one per sup), so
+    a run that lost a few members to failures still yields its curve.
     """
     sups = np.asarray(sups, dtype=float)
-    if sups.size < _MIN_TAIL_ENSEMBLE:
+    if (sups.size if ensemble is None else ensemble) < _MIN_TAIL_ENSEMBLE:
         raise ValueError(f"tail curves need an ensemble of at least {_MIN_TAIL_ENSEMBLE}")
     if xi_grid is None:
         qs = np.linspace(0.05, 0.99, 24)

@@ -44,8 +44,10 @@ _JITTER_ROUNDS = 3
 _JITTER_BASE = 1e-12
 
 PATH_MAGIC = b"FRD1"
-PATH_VERSION = 1
-_HEADER = struct.Struct("<IdIQddQ")  # version, hurst, d, n_points, t_start, t_end, seed
+PATH_VERSION = 2
+# version, hurst, d, n_points, t_start, t_end, seed, has_seed (1 if tagged)
+_HEADER = struct.Struct("<IdIQddQI")
+_HEADER_V1 = struct.Struct("<IdIQddQ")  # as v2 without has_seed; seed 0 meant untagged
 
 
 class SynthesisError(RuntimeError):
@@ -374,6 +376,7 @@ def write_path(path: SamplePath, dest: str | Path | BinaryIO) -> None:
         path.grid.t_start,
         path.grid.t_end,
         seed % 2**64,
+        path.seed is not None,
     )
     body = np.ascontiguousarray(path.values, dtype="<f8").tobytes()
     if hasattr(dest, "write"):
@@ -386,17 +389,20 @@ def write_path(path: SamplePath, dest: str | Path | BinaryIO) -> None:
 
 
 def read_path(src: str | Path | BinaryIO) -> SamplePath:
-    """Read a path serialized by write_path."""
+    """Read a path serialized by write_path, in format version 2 or 1."""
     if hasattr(src, "read"):
         raw = src.read()
     else:
         raw = Path(src).read_bytes()
     if raw[:4] != PATH_MAGIC:
         raise ValueError("not a path file (bad magic)")
-    version, hurst, d, n, t0, t1, seed = _HEADER.unpack_from(raw, 4)
-    if version != PATH_VERSION:
+    version = struct.unpack_from("<I", raw, 4)[0]
+    header = {1: _HEADER_V1, PATH_VERSION: _HEADER}.get(version)
+    if header is None:
         raise ValueError(f"unsupported path format version {version}")
-    offset = 4 + _HEADER.size
+    _, hurst, d, n, t0, t1, seed, *has_seed = header.unpack_from(raw, 4)
+    has_seed = has_seed[0] if has_seed else seed != 0  # v1 wrote an untagged seed as 0
+    offset = 4 + header.size
     if len(raw) - offset != 8 * n * d:
         raise ValueError(
             f"payload is {len(raw) - offset} bytes; the header declares {n}x{d} float64 values"
@@ -406,7 +412,7 @@ def read_path(src: str | Path | BinaryIO) -> SamplePath:
         TimeGrid(n, t0, t1),
         values.copy(),
         hurst=None if math.isnan(hurst) else HurstParam(hurst),
-        seed=None if seed == 0 else seed,
+        seed=seed if has_seed else None,
     )
 
 

@@ -1,10 +1,13 @@
 """Experiment runner: executes estimator tasks over seeded ensembles,
 aggregates, renders verdicts, and persists reports.
 
-Every verdict names the mathematical claim it tests and the window applied;
-windows live in DEFAULT_WINDOWS and are overridable per config section.
-Member seeds are base_seed + index, so parallel execution order can never
-change a result.
+Every verdict names the mathematical claim it tests and the window applied.
+Each task reads its parameters and windows as one dict,
+``spec.task_settings(task)``: the config section over the defaults of
+``config.TASK_PARAMS``, which lists every section key; a spec rejects an
+unknown or wrongly typed key.  A task aborts once more than 1% of its members
+fail (``MEMBER_FAILURE_RATE``, not configurable).  Member seeds are
+base_seed + index, so parallel execution order can never change a result.
 """
 from __future__ import annotations
 
@@ -24,26 +27,10 @@ from .fbm import write_path
 from .fields import resolve_fields
 from .solver import check_ellipticity
 
-__all__ = ["DEFAULT_WINDOWS", "RunError", "RunReport", "Verdict", "report_render", "run"]
+__all__ = ["MEMBER_FAILURE_RATE", "RunError", "RunReport", "Verdict", "report_render", "run"]
 
-DEFAULT_WINDOWS = {
-    "slope_tol": 0.15,  # dimension-slope windows around the predicted value
-    "levelset_hit_floor": 0.10,
-    "levelset_min_points": 32,
-    "tail_r2_floor": 0.9,
-    "tail_delta_r2": 0.02,
-    "tail_rank_corr": 0.8,
-    "kde_mode_rel_tol": 0.10,
-    "envelope_r2_increment": 0.85,
-    "envelope_r2_bivariate": 0.80,
-    "bivariate_oracle_rel_tol": 0.15,
-    "energy_stable_growth": 1.07,  # last-doubling factor for the convergent side
-    "energy_grow_last": 1.10,
-    "energy_grow_total": 1.35,
-    "mu_mass_floor": 0.5,
-    "mu_final_growth": 1.35,
-    "member_failure_rate": 0.01,
-}
+#: largest share of an ensemble that may fail before the run aborts
+MEMBER_FAILURE_RATE = 0.01
 
 
 class RunError(RuntimeError):
@@ -92,11 +79,6 @@ class RunReport:
         }
 
 
-def _window(spec: ExperimentSpec, task: str, key: str):
-    params = spec.task_params(task)
-    return params.get(key, DEFAULT_WINDOWS[key])
-
-
 def _member_map(worker, spec: ExperimentSpec, indices, jobs: int, *args):
     """Failure-tallied map of a member worker over the ensemble.
 
@@ -118,7 +100,7 @@ def _member_map(worker, spec: ExperimentSpec, indices, jobs: int, *args):
                     results[i] = fut.result()
                 except Exception as exc:
                     failures[i] = f"{type(exc).__name__}: {exc}"
-    if len(failures) > DEFAULT_WINDOWS["member_failure_rate"] * max(len(indices), 1):
+    if len(failures) > MEMBER_FAILURE_RATE * max(len(indices), 1):
         sample = list(failures.items())[:3]
         raise RunError(f"{len(failures)} member failures, e.g. {sample}")
     return {i: results[i] for i in sorted(results)}, failures
@@ -131,14 +113,9 @@ def _seeded(spec: ExperimentSpec, failures: dict[int, str]) -> dict[int, str]:
 
 # ----------------------------------------------------------- member workers
 
-def _image_worker(spec, k, fields_name, octaves):
-    cloud = dm.image_cloud(solve_member(spec, k, fields_name))
-    return _anchored_slope(cloud, octaves)
-
-
-def _graph_worker(spec, k, fields_name, octaves):
-    cloud = dm.graph_cloud(solve_member(spec, k, fields_name))
-    return _anchored_slope(cloud, octaves)
+def _dim_worker(spec, k, fields_name, octaves, kind):
+    to_cloud = dm.image_cloud if kind == "dim_image" else dm.graph_cloud
+    return _anchored_slope(to_cloud(solve_member(spec, k, fields_name)), octaves)
 
 
 def _anchored_slope(cloud: dm.PointCloud, octaves: int) -> tuple[float, float]:
@@ -164,19 +141,21 @@ def _levelset_worker(spec, k, fields_name, restrict):
     eta = dm.tube_floor(sol)
     level = np.zeros(spec.dim)  # the start point of the pinned system
     ls = dm.extract_level_set(sol, level, eta)
-    return ls.times, eta, dm.cloud_span(dm.PointCloud(sol.values))
+    return ls.times, eta
 
 
-def _hit_worker(spec, k, fields_name, restrict, etas):
+def _hit_worker(spec, k, fields_name, restrict):
+    """The member's closest approach to the level, and its tube floor."""
     sol = solve_member(spec, k, fields_name).restrict(*restrict)
     dist = np.sqrt((sol.values**2).sum(axis=1))
-    return [bool((dist <= e).any()) for e in etas], dm.tube_floor(sol)
+    return dist.min(), dm.tube_floor(sol)
 
 
-def _energy_worker(spec, k, fields_name, gamma, factors, restrict):
+def _energy_worker(spec, k, fields_name, gammas, factors, restrict):
     sol = solve_member(spec, k, fields_name)
     return [
-        dm.energy_integral(sol.decimate(f), gamma, restrict).value for f in factors
+        [dm.energy_integral(sol.decimate(f), g, restrict).value for f in factors]
+        for g in gammas
     ]
 
 
@@ -221,10 +200,8 @@ def _task_solve(spec, jobs, out_dir, results, verdicts, rows):
 
 
 def _dim_task(kind, spec, jobs, out_dir, results, verdicts, rows):
-    worker = _image_worker if kind == "dim_image" else _graph_worker
-    params = spec.task_params(kind)
-    octaves = int(params.get("octaves", 4))
-    tol = float(_window(spec, kind, "slope_tol"))
+    p = spec.task_settings(kind)
+    tol = p["slope_tol"]
     if kind == "dim_image":
         target = min(spec.dim, 1.0 / spec.hurst)
         claim_base = f"image dimension = min(d, 1/H) = {target:.4g}"
@@ -233,7 +210,9 @@ def _dim_task(kind, spec, jobs, out_dir, results, verdicts, rows):
         claim_base = f"graph dimension = min((1-H)d+1, 1/H) = {target:.4g}"
     info = {}
     for fname in spec.fields:
-        pairs, failures = _member_map(worker, spec, range(spec.ensemble), jobs, fname, octaves)
+        pairs, failures = _member_map(
+            _dim_worker, spec, range(spec.ensemble), jobs, fname, p["octaves"], kind
+        )
         slopes = [s for s, _ in pairs.values()]
         med = float(np.median(slopes))
         verdicts.append(
@@ -254,13 +233,11 @@ def _dim_task(kind, spec, jobs, out_dir, results, verdicts, rows):
 
 
 def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
-    params = spec.task_params("levelset")
-    restrict = (float(params.get("t_lo", 0.1)), float(params.get("t_hi", spec.t_range[1])))
+    p = spec.task_settings("levelset")
+    restrict = (p["t_lo"], p["t_hi"])
     fname = spec.fields[0]
     dh = spec.dim * spec.hurst
-    hit_floor = float(_window(spec, "levelset", "levelset_hit_floor"))
-    min_pts = int(_window(spec, "levelset", "levelset_min_points"))
-    tol = float(_window(spec, "levelset", "slope_tol"))
+    hit_floor, tol = p["levelset_hit_floor"], p["slope_tol"]
     if dh < 1.0:
         target = 1.0 - dh
         out, failures = _member_map(
@@ -268,8 +245,8 @@ def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
         )
         slopes = []
         hits = 0
-        for k, (times, eta, _span) in out.items():
-            if times.size < min_pts:
+        for k, (times, eta) in out.items():
+            if times.size < p["levelset_min_points"]:
                 continue
             hits += 1
             cloud = dm.PointCloud(times)
@@ -307,14 +284,12 @@ def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
         results["levelset"] = {"hit_fraction": frac, "median_slope": med, "slopes": slopes,
                                "failures": _seeded(spec, failures)}
     else:
-        halvings = int(params.get("halvings", 4))
-        pilot = solve_member(spec, 0, fname).restrict(*restrict)
-        eta0 = 8.0 * dm.tube_floor(pilot)
-        etas = [eta0 / 2**j for j in range(halvings)]
         out, failures = _member_map(
-            _hit_worker, spec, range(spec.ensemble), jobs, fname, restrict, etas
+            _hit_worker, spec, range(spec.ensemble), jobs, fname, restrict
         )
-        fracs = [float(np.mean([flags[j] for flags, _ in out.values()])) for j in range(halvings)]
+        eta0 = 8.0 * next(iter(out.values()))[1]  # the lowest-index survivor's tube floor
+        etas = [eta0 / 2**j for j in range(p["halvings"])]
+        fracs = [float(np.mean([dist <= e for dist, _ in out.values()])) for e in etas]
         decreasing = all(b < a for a, b in zip(fracs, fracs[1:]))
         verdicts.append(
             Verdict(
@@ -334,24 +309,21 @@ def _sup_worker(spec, k, fields_name, restricts):
 
 
 def _task_tail(spec, jobs, out_dir, results, verdicts, rows):
-    params = spec.task_params("tail")
+    p = spec.task_settings("tail")
     fname = spec.fields[0]
-    interval = (float(params.get("s", spec.t_range[0])), float(params.get("t", spec.t_range[1])))
+    interval = (p["s"], p["t"])
     expected = min(2.0 * spec.hurst + 1.0, 2.0)
     ladder = [1.6, 1.8, 2.0, 2.2]
     if expected not in ladder:
         ladder = sorted(set(ladder + [expected]))
-    r2_floor = float(_window(spec, "tail", "tail_r2_floor"))
-    delta_max = float(_window(spec, "tail", "tail_delta_r2"))
-    rank_floor = float(_window(spec, "tail", "tail_rank_corr"))
-
-    halvings = int(params.get("halvings", 4))
+    r2_floor, delta_max, rank_floor = p["tail_r2_floor"], p["tail_delta_r2"], p["tail_rank_corr"]
+    halvings = p["halvings"]
     widths = [(interval[1] - interval[0]) / 2**j for j in range(halvings)]
     restricts = [(interval[0], interval[0] + w) for w in widths]
     out, failures = _member_map(_sup_worker, spec, range(spec.ensemble), jobs, fname, restricts)
     sups = np.array(list(out.values()))  # (m, halvings)
 
-    curve = dl.tail_curve(sups[:, 0], interval)
+    curve = dl.tail_curve(sups[:, 0], interval, ensemble=spec.ensemble)
     best, slopes, r2s = dl.fit_tail_exponent(curve, ladder)
     r2_by_exp = dict(zip(ladder, r2s))
     delta = r2_by_exp[expected] - max(r2s)
@@ -372,7 +344,7 @@ def _task_tail(spec, jobs, out_dir, results, verdicts, rows):
                  seed=spec.base_seed, param=f"a={a}", slope=s, r2=r, value=float(best))
         )
 
-    xi_fixed = float(np.quantile(sups[:, -1], float(params.get("xi_quantile", 0.9))))
+    xi_fixed = float(np.quantile(sups[:, -1], p["xi_quantile"]))
     ps = [float((sups[:, j] >= xi_fixed).mean()) for j in range(halvings)]
     finite = [(w, math.log(p)) for w, p in zip(widths, ps) if p > 0]
     if len(finite) >= 3:
@@ -410,12 +382,10 @@ def _task_tail(spec, jobs, out_dir, results, verdicts, rows):
 
 
 def _task_density(spec, jobs, out_dir, results, verdicts, rows):
-    params = spec.task_params("density")
-    s = float(params.get("s", 0.1))
-    t = float(params.get("t", 0.9 * spec.t_range[1]))
+    p = spec.task_settings("density")
+    s, t = p["s"], p["t"]
     expected = min(2.0 * spec.hurst + 1.0, 2.0)
-    env_floor = float(_window(spec, "density", "envelope_r2_increment"))
-    mode_tol = float(_window(spec, "density", "kde_mode_rel_tol"))
+    env_floor, mode_tol = p["envelope_r2_increment"], p["kde_mode_rel_tol"]
 
     samples = dl._ensemble_samples_at(spec, (s, t))
     pilot = samples[:256]  # the first members set the scale of the evaluation grid
@@ -462,12 +432,10 @@ def _task_density(spec, jobs, out_dir, results, verdicts, rows):
 
 
 def _task_bivariate(spec, jobs, out_dir, results, verdicts, rows):
-    params = spec.task_params("bivariate")
-    s = float(params.get("s", 0.25))
-    t = float(params.get("t", 0.75))
+    p = spec.task_settings("bivariate")
+    s, t = p["s"], p["t"]
     gamma = 0.9 * spec.hurst
-    env_floor = float(_window(spec, "bivariate", "envelope_r2_bivariate"))
-    oracle_tol = float(_window(spec, "bivariate", "bivariate_oracle_rel_tol"))
+    env_floor, oracle_tol = p["envelope_r2_bivariate"], p["bivariate_oracle_rel_tol"]
 
     samples = dl._ensemble_samples_at(spec, (s, t))
     pilot = samples[:256]  # the first members set the scale of the evaluation grid
@@ -518,22 +486,21 @@ def _task_bivariate(spec, jobs, out_dir, results, verdicts, rows):
 
 
 def _task_energy(spec, jobs, out_dir, results, verdicts, rows):
-    params = spec.task_params("energy")
+    p = spec.task_settings("energy")
     fname = spec.fields[0]
     crit = min(spec.dim, 1.0 / spec.hurst)
-    off = float(params.get("gamma_offset", 0.13))
-    levels = int(params.get("levels", 4))
+    gammas = (crit - p["gamma_offset"], crit + p["gamma_offset"])
+    levels = p["levels"]
     restrict = (spec.t_range[0], spec.t_range[1])
     factors = [2 ** (levels - 1 - j) for j in range(levels)]  # coarse to fine
-    stable_cap = float(_window(spec, "energy", "energy_stable_growth"))
-    grow_last = float(_window(spec, "energy", "energy_grow_last"))
-    grow_total = float(_window(spec, "energy", "energy_grow_total"))
+    stable_cap = p["energy_stable_growth"]
+    grow_last, grow_total = p["energy_grow_last"], p["energy_grow_total"]
+    out, failures = _member_map(
+        _energy_worker, spec, range(spec.ensemble), jobs, fname, gammas, factors, restrict
+    )
     info = {}
-    for label, gamma in (("below", crit - off), ("above", crit + off)):
-        out, failures = _member_map(
-            _energy_worker, spec, range(spec.ensemble), jobs, fname, gamma, factors, restrict
-        )
-        arr = np.array(list(out.values()))  # (m, levels)
+    for i, (label, gamma) in enumerate(zip(("below", "above"), gammas)):
+        arr = np.array([values[i] for values in out.values()])  # (m, levels)
         med = np.median(arr, axis=0)
         # paired per-member refinement ratios cancel member-to-member scale
         growth = [float(np.median(arr[:, j + 1] / arr[:, j])) for j in range(arr.shape[1] - 1)]
@@ -562,16 +529,15 @@ def _task_energy(spec, jobs, out_dir, results, verdicts, rows):
             rows.append(
                 dict(estimator="energy", H=spec.hurst, d=spec.dim, n_points=spec.n_points,
                      seed=member_seed(spec, k), param=f"gamma={gamma:.4g}",
-                     slope=math.nan, r2=math.nan, value=float(values[-1]))
+                     slope=math.nan, r2=math.nan, value=float(values[i][-1]))
             )
     results["energy"] = info
 
 
 def _task_mu(spec, jobs, out_dir, results, verdicts, rows):
-    params = spec.task_params("mu")
+    p = spec.task_settings("mu")
     fname = spec.fields[0]
-    delta = float(params.get("delta", 0.2))
-    gamma = 1.0 - (1.0 + delta) * spec.dim * spec.hurst
+    gamma = 1.0 - (1.0 + p["delta"]) * spec.dim * spec.hurst
     if gamma <= 0:
         verdicts.append(
             Verdict(
@@ -582,10 +548,9 @@ def _task_mu(spec, jobs, out_dir, results, verdicts, rows):
             )
         )
         return
-    sharpness = [int(v) for v in str(params.get("sharpness", "4,16,64,256")).split(",")]
-    restrict = (float(params.get("t_lo", 0.1)), spec.t_range[1])
-    mass_floor = float(_window(spec, "mu", "mu_mass_floor"))
-    final_cap = float(_window(spec, "mu", "mu_final_growth"))
+    sharpness = list(p["sharpness"])
+    restrict = (p["t_lo"], spec.t_range[1])
+    mass_floor, final_cap = p["mu_mass_floor"], p["mu_final_growth"]
     out, failures = _member_map(
         _mu_worker, spec, range(spec.ensemble), jobs, fname, gamma, sharpness, restrict
     )
@@ -645,6 +610,8 @@ def run(spec: ExperimentSpec, tasks: tuple[str, ...] | None = None, jobs: int = 
     for task in tasks:
         if task not in ALL_TASKS:
             raise RunError(f"unknown task '{task}'")
+    if "tail" in tasks and spec.ensemble < dl._MIN_TAIL_ENSEMBLE:
+        raise RunError(f"tail needs at least {dl._MIN_TAIL_ENSEMBLE} members, not {spec.ensemble}")
     t0 = time.time()
     out_dir = spec.resolved_output_dir()
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,7 +1,16 @@
+from dataclasses import replace
+
 import pytest
 
 from fracdim import fbm
-from fracdim.config import ConfigError, ExperimentSpec, generate_driver, member_seed, parse_spec
+from fracdim.config import (
+    ConfigError,
+    ExperimentSpec,
+    _parse_scalar,
+    generate_driver,
+    member_seed,
+    parse_spec,
+)
 
 
 MINIMAL = """
@@ -70,6 +79,42 @@ def test_sections_collect_estimator_params():
     )
     assert spec.task_params("tail") == {"s": 0.0, "t": 0.5, "halvings": 3}
     assert spec.task_params("density") == {}
+
+
+def test_task_settings_fill_defaults_from_the_spec():
+    spec = parse_spec(
+        "name = x\nhurst = 0.5\nt_end = 2.0\n[tail]\nhalvings = 3\n[mu]\nsharpness = 8\n"
+    )
+    tail = spec.task_settings("tail")
+    assert (tail["s"], tail["t"], tail["halvings"], tail["tail_r2_floor"]) == (0.0, 2.0, 3, 0.9)
+    assert spec.task_settings("density")["t"] == 0.9 * 2.0
+    assert spec.task_settings("levelset")["t_hi"] == 2.0
+    assert spec.task_settings("mu")["sharpness"] == (8,)
+
+
+@pytest.mark.parametrize(
+    "task, key, value",
+    [
+        ("dim_image", "octaves", "2.5"),
+        ("dim_graph", "slope_tole", "0.2"),
+        ("levelset", "slope_tol", "x"),
+        ("tail", "halvigns", "9"),
+        ("tail", "tail_r2_flor", "0.99"),
+        ("density", "t", "late"),
+        ("bivariate", "envelope_r2", "0.8"),
+        ("energy", "levels", "4.0"),
+        ("mu", "sharpness", "4,x"),
+    ],
+)
+def test_bad_section_key_rejected(task, key, value):
+    names_both = rf"(?=.*\[{task}\])(?=.*\b{key}\b)"
+    with pytest.raises(ConfigError, match=names_both):
+        parse_spec(f"name = x\nhurst = 0.5\n[{task}]\n{key} = {value}\n")
+    params = {task: {key: _parse_scalar(value)}}  # the value as the parser reads it
+    with pytest.raises(ConfigError, match=names_both):
+        ExperimentSpec(name="x", hurst=0.5, estimator_params=params)
+    with pytest.raises(ConfigError, match=names_both):
+        replace(ExperimentSpec(name="x", hurst=0.5), estimator_params=params)
 
 
 def test_comments_and_blank_lines_ignored():

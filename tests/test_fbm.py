@@ -1,5 +1,6 @@
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -256,11 +257,31 @@ def test_path_binary_layout():
     fbm.write_path(p, buf)
     raw = buf.getvalue()
     assert raw[:4] == b"FRD1"
-    assert int.from_bytes(raw[4:8], "little") == 1  # version
+    assert int.from_bytes(raw[4:8], "little") == 2  # version
     assert math.isnan(np.frombuffer(raw[8:16], "<f8")[0])  # untagged hurst
     assert int.from_bytes(raw[16:20], "little") == 1  # d
     assert int.from_bytes(raw[20:28], "little") == 2  # n_points
-    assert len(raw) == 4 + 4 + 8 + 4 + 8 + 8 + 8 + 8 + 2 * 8
+    assert int.from_bytes(raw[52:56], "little") == 0  # has_seed
+    assert len(raw) == 4 + 4 + 8 + 4 + 8 + 8 + 8 + 8 + 4 + 2 * 8
+
+
+@pytest.mark.parametrize("seed", [0, None, 11])
+def test_path_binary_roundtrip_keeps_seed(seed):
+    p = SamplePath(TimeGrid(3, 0.0, 1.0), np.array([[0.0], [0.5], [-1.0]]), seed=seed)
+    buf = io.BytesIO()
+    fbm.write_path(p, buf)
+    assert fbm.read_path(io.BytesIO(buf.getvalue())).seed == seed
+
+
+def test_path_binary_reads_version_1():
+    values = np.array([[0.0], [0.5], [-1.0]])
+    for seed, expected in ((0, None), (11, 11)):  # v1 wrote an untagged seed as 0
+        header = struct.pack("<IdIQddQ", 1, 0.6, 1, 3, 0.0, 1.0, seed)
+        q = fbm.read_path(io.BytesIO(b"FRD1" + header + values.astype("<f8").tobytes()))
+        assert q.seed == expected
+        assert q.hurst.value == 0.6
+        assert q.grid == TimeGrid(3, 0.0, 1.0)
+        assert np.array_equal(q.values, values)
 
 
 def test_path_binary_rejects_payload_length_mismatch():

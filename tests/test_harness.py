@@ -64,10 +64,25 @@ def test_report_reruns_bit_identical(tmp_path):
     assert a == b
 
 
-def test_jobs_do_not_change_results(tmp_path):
-    spec = small_spec(tmp_path, n_points=4096, ensemble=4)
-    a = run(spec, tasks=("dim_image",), jobs=1)
-    b = run(spec, tasks=("dim_image",), jobs=2)
+# every task that maps members over the ensemble, at small sizes:
+# (task, spec overrides); the levelset cases cover dH < 1 and dH > 1
+MEMBER_TASKS = {
+    "dim_image": ("dim_image", dict(n_points=4096, ensemble=4)),
+    "dim_graph": ("dim_graph", dict(n_points=1024, ensemble=4)),
+    "levelset_d1": ("levelset", dict(n_points=1024, ensemble=8)),
+    "levelset_d2": ("levelset", dict(hurst=0.6, dim=2, n_points=1024, ensemble=8)),
+    "tail": ("tail", dict(n_points=64, ensemble=1000)),
+    "energy": ("energy", dict(hurst=0.75, dim=2, n_points=256, ensemble=4)),
+    "mu": ("mu", dict(n_points=256, ensemble=8)),
+}
+
+
+@pytest.mark.parametrize("case", list(MEMBER_TASKS))
+def test_jobs_do_not_change_results(tmp_path, case):
+    task, overrides = MEMBER_TASKS[case]
+    spec = small_spec(tmp_path, **overrides)
+    a = run(spec, tasks=(task,), jobs=1)
+    b = run(spec, tasks=(task,), jobs=2)
     assert a.results == b.results
 
 
@@ -280,3 +295,42 @@ def test_member_failure_is_reported_under_its_seed(tmp_path, monkeypatch, task, 
         assert set(seeds) == survivors
     if task == "levelset":
         assert seeds  # some members hit the level
+
+
+def _count_solves(monkeypatch, failing=()):
+    """Count harness solve_member calls per member; members in ``failing`` raise."""
+    from collections import Counter
+
+    from fracdim import harness
+
+    real = harness.solve_member
+    calls = Counter()
+
+    def counted(spec, k, *args):
+        calls[k] += 1
+        if k in failing:
+            raise ValueError("boom")
+        return real(spec, k, *args)
+
+    monkeypatch.setattr(harness, "solve_member", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", list(MEMBER_TASKS))
+def test_each_member_is_solved_once(tmp_path, monkeypatch, case):
+    task, overrides = MEMBER_TASKS[case]
+    calls = _count_solves(monkeypatch)
+    spec = small_spec(tmp_path, **overrides)
+    run(spec, tasks=(task,), jobs=1)
+    assert calls == {k: 1 for k in range(spec.ensemble)}
+
+
+def test_tail_floor_is_on_the_requested_ensemble(tmp_path, monkeypatch):
+    calls = _count_solves(monkeypatch, failing={1})
+    report = run(small_spec(tmp_path, n_points=64, ensemble=1000), tasks=("tail",))
+    assert len(report.verdicts) == 2  # 999 survivors, within the 1% failure cap
+    assert report.results["tail"]["failures"] == {12: "ValueError: boom"}
+    calls.clear()
+    with pytest.raises(RunError, match="at least 1000"):
+        run(small_spec(tmp_path, n_points=64, ensemble=999), tasks=("tail",))
+    assert not calls  # rejected before any member is solved
