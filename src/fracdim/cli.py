@@ -53,13 +53,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = parse_spec_file(args.config)
+        if args.seed is not None:
+            spec = replace(spec, base_seed=args.seed)
+        if args.out is not None:
+            spec = replace(spec, output_dir=args.out)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        spec = replace(spec, base_seed=args.seed)
-    if args.out is not None:
-        spec = replace(spec, output_dir=args.out)
     tasks = _VERB_TASKS[args.verb] or spec.tasks
     if not tasks:
         print("error: repro needs a 'tasks = ...' line in the config", file=sys.stderr)

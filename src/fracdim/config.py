@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fbm import HurstParam, SamplePath, TimeGrid, generate_cholesky, generate_circulant
+from .fbm import (CHOLESKY_MAX_N, HurstParam, SamplePath, TimeGrid, generate_cholesky,
+                  generate_circulant)
 from .fields import VectorFieldSet, resolve_fields
 from .roughpath import lift_path
 from .solver import SolverScheme, _constant_field_path, scheme_for, solve
@@ -130,8 +131,12 @@ class ExperimentSpec:
             raise ConfigError(f"unknown generator '{self.generator}'")
         if self.generator == "circulant" and self.t_range[0] != 0.0:
             raise ConfigError("circulant generator requires t_start = 0")
+        if self.generator == "cholesky" and self.n_points + 1 > CHOLESKY_MAX_N:
+            raise ConfigError(f"cholesky grids hold at most {CHOLESKY_MAX_N} points (n_points + 1)")
         if self.ensemble < 1:
             raise ConfigError("ensemble must be >= 1")
+        if self.base_seed < 0 or self.base_seed + self.ensemble - 1 >= 2**64:
+            raise ConfigError("member seeds (base_seed + member index) must lie in [0, 2^64)")
         for fname in self.fields:
             try:
                 resolve_fields(fname, self.dim)
@@ -147,10 +152,6 @@ class ExperimentSpec:
     def grid(self) -> TimeGrid:
         # n_points counts sampling steps; the grid adds the pinned origin
         return TimeGrid(self.n_points + 1, self.t_range[0], self.t_range[1])
-
-    def task_params(self, task: str) -> dict:
-        """The task's section as written."""
-        return dict(self.estimator_params.get(task, {}))
 
     def task_settings(self, task: str) -> dict:
         """Every parameter and window of the task: the section over the table's defaults."""

@@ -335,30 +335,19 @@ def generate_circulant(
     return SamplePath(grid, values, hurst=HurstParam(H), seed=seed)
 
 
-def empirical_holder_exponent(
-    path: SamplePath, n_lags: int = 7, statistic: str = "rms"
-) -> float:
-    """Regularity estimate: log-log regression of increment size against lag.
-
-    ``statistic="rms"`` regresses the root-mean-square increment, which scales
-    exactly like lag^H for stationary-increment paths.  ``statistic="max"``
-    uses the maximum increment normalized by its sqrt(2 log(n/lag)) extremal
-    envelope; it is noisier and kept for diagnostics.
+def empirical_holder_exponent(path: SamplePath) -> float:
+    """Regularity estimate: slope of the log root-mean-square increment against
+    log lag, over dyadic lags up to 64 and below n/8.  The RMS increment scales
+    exactly like lag^H for stationary-increment paths.
     """
     v = path.values
     n = v.shape[0]
-    lags = 2 ** np.arange(n_lags)
+    lags = 2 ** np.arange(7)
     lags = lags[lags < n // 8]
     ys = []
     for lag in lags:
         sizes = np.sqrt(((v[lag:] - v[:-lag]) ** 2).sum(axis=1))
-        if statistic == "rms":
-            stat = float(np.sqrt((sizes**2).mean()))
-        elif statistic == "max":
-            stat = float(sizes.max()) / math.sqrt(2.0 * math.log(n / lag))
-        else:
-            raise ValueError("statistic must be 'rms' or 'max'")
-        ys.append(math.log(stat))
+        ys.append(math.log(float(np.sqrt((sizes**2).mean()))))
     xs = np.log(lags * path.grid.spacing)
     slope, _ = np.polyfit(xs, np.array(ys), 1)
     return float(slope)
@@ -368,6 +357,8 @@ def write_path(path: SamplePath, dest: str | Path | BinaryIO) -> None:
     """Serialize in the shared binary path format (magic FRD1, little-endian)."""
     hurst = path.hurst.value if path.hurst is not None else math.nan
     seed = path.seed if path.seed is not None else 0
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} does not fit the format's u64 field [0, 2^64)")
     header = PATH_MAGIC + _HEADER.pack(
         PATH_VERSION,
         hurst,
@@ -375,7 +366,7 @@ def write_path(path: SamplePath, dest: str | Path | BinaryIO) -> None:
         path.grid.n_points,
         path.grid.t_start,
         path.grid.t_end,
-        seed % 2**64,
+        seed,
         path.seed is not None,
     )
     body = np.ascontiguousarray(path.values, dtype="<f8").tobytes()

@@ -32,7 +32,7 @@ class VectorFieldSet:
     """Drift V0 and diffusion fields V1..Vd with derivative evaluations.
 
     Analytic derivatives are preferred; missing ones fall back to central
-    finite differences (step 1e-5 * (1 + |x|)) and set ``uses_fd_derivatives``.
+    finite differences (step 1e-5 * (1 + |x|)).
     ``constant`` marks state-independent V0 and V, which lets the solver take
     its exact cumulative-sum path.
     """
@@ -44,15 +44,8 @@ class VectorFieldSet:
     dv: Callable[[np.ndarray], np.ndarray] | None = None
     d2v: Callable[[np.ndarray], np.ndarray] | None = None
     dv0: Callable[[np.ndarray], np.ndarray] | None = None
-    smoothness_order: int = 2
     constant: bool = False
     name: str = ""
-
-    @property
-    def uses_fd_derivatives(self) -> bool:
-        return self.dv is None or self.dv0 is None or (
-            self.smoothness_order >= 2 and self.d2v is None
-        )
 
     def first_derivatives(self, x: np.ndarray) -> np.ndarray:
         if self.dv is not None:
@@ -129,7 +122,6 @@ def make_geometric_1d(sigma: float = 1.0) -> VectorFieldSet:
         dv=lambda x: np.array([[[sigma]]]),
         d2v=lambda x: np.zeros((1, 1, 1, 1)),
         dv0=lambda x: np.zeros((1, 1)),
-        smoothness_order=3,
         name="geometric_1d",
     )
 
@@ -174,7 +166,6 @@ def make_elliptic_sin_2d() -> VectorFieldSet:
         dv=dv,
         d2v=d2v,
         dv0=lambda x: np.zeros((2, 2)),
-        smoothness_order=3,
         name="elliptic_sin_2d",
     )
 
@@ -202,7 +193,6 @@ def make_drift_only(dim: int) -> VectorFieldSet:
         dv=lambda x: np.zeros((dim, dim, dim)),
         d2v=lambda x: np.zeros((dim, dim, dim, dim)),
         dv0=dv0,
-        smoothness_order=3,
         name="drift_only",
     )
 

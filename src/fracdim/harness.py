@@ -5,9 +5,10 @@ Every verdict names the mathematical claim it tests and the window applied.
 Each task reads its parameters and windows as one dict,
 ``spec.task_settings(task)``: the config section over the defaults of
 ``config.TASK_PARAMS``, which lists every section key; a spec rejects an
-unknown or wrongly typed key.  A task aborts once more than 1% of its members
-fail (``MEMBER_FAILURE_RATE``, not configurable).  Member seeds are
-base_seed + index, so parallel execution order can never change a result.
+unknown or wrongly typed key.  ``_member_map`` runs the members of every task
+but density and bivariate, and aborts once more than 1% fail
+(``MEMBER_FAILURE_RATE``, not configurable).  Member seeds are base_seed +
+index, so parallel execution order can never change a result.
 """
 from __future__ import annotations
 
@@ -31,6 +32,10 @@ __all__ = ["MEMBER_FAILURE_RATE", "RunError", "RunReport", "Verdict", "report_re
 
 #: largest share of an ensemble that may fail before the run aborts
 MEMBER_FAILURE_RATE = 0.01
+
+#: task -> the fewest members its estimator accepts, checked before any solve
+_ENSEMBLE_FLOORS = {"tail": dl._MIN_TAIL_ENSEMBLE, "density": dl._MIN_KDE_ENSEMBLE,
+                    "bivariate": dl._MIN_BIVARIATE_ENSEMBLE}
 
 
 class RunError(RuntimeError):
@@ -79,39 +84,57 @@ class RunReport:
         }
 
 
+def _run_block(worker, spec: ExperimentSpec, indices, args):
+    """``worker`` over each member of one block: ({index: result}, {seed: error})."""
+    results, failures = {}, {}
+    for i in indices:
+        try:
+            results[i] = worker(spec, i, *args)
+        except Exception as exc:  # tallied, aborts only past the rate cap
+            failures[member_seed(spec, i)] = f"{type(exc).__name__}: {exc}"
+    return results, failures
+
+
 def _member_map(worker, spec: ExperimentSpec, indices, jobs: int, *args):
     """Failure-tallied map of a member worker over the ensemble.
 
-    Returns ({member index: result} in index order, {member index: error}).
+    At ``jobs > 1`` the pool runs min(members, 4 * jobs) contiguous blocks.
+    Returns ({member index: result}, {member seed: error}), both in index order.
     """
-    results: dict[int, object] = {}
-    failures: dict[int, str] = {}
+    indices = list(indices)
     if jobs <= 1:
-        for i in indices:
-            try:
-                results[i] = worker(spec, i, *args)
-            except Exception as exc:  # tallied, aborts only past the rate cap
-                failures[i] = f"{type(exc).__name__}: {exc}"
+        results, failures = _run_block(worker, spec, indices, args)
     else:
+        n_blocks = min(len(indices), 4 * jobs)
+        q, r = divmod(len(indices), n_blocks)  # the first r blocks take one member more
+        bounds = [j * q + min(j, r) for j in range(n_blocks + 1)]
+        blocks = [indices[a:b] for a, b in zip(bounds, bounds[1:])]
+        results, failures = {}, {}
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(worker, spec, i, *args): i for i in indices}
-            for fut, i in futures.items():
+            futures = [pool.submit(_run_block, worker, spec, b, args) for b in blocks]
+            for block, fut in zip(blocks, futures):
                 try:
-                    results[i] = fut.result()
-                except Exception as exc:
-                    failures[i] = f"{type(exc).__name__}: {exc}"
+                    block_results, block_failures = fut.result()
+                    results.update(block_results)
+                except Exception as exc:  # its process died: each member of the block fails
+                    error = f"{type(exc).__name__}: {exc}"
+                    block_failures = {member_seed(spec, i): error for i in block}
+                failures.update(block_failures)
     if len(failures) > MEMBER_FAILURE_RATE * max(len(indices), 1):
         sample = list(failures.items())[:3]
         raise RunError(f"{len(failures)} member failures, e.g. {sample}")
-    return {i: results[i] for i in sorted(results)}, failures
-
-
-def _seeded(spec: ExperimentSpec, failures: dict[int, str]) -> dict[int, str]:
-    """Member failures keyed by the member's seed, as reports store them."""
-    return {member_seed(spec, i): err for i, err in failures.items()}
+    return results, failures
 
 
 # ----------------------------------------------------------- member workers
+
+def _write_worker(spec, k, dest_dir, fields_name=None):
+    """Write member k's driver, or its solution under ``fields_name``, as .frd."""
+    path = generate_driver(spec, k) if fields_name is None else solve_member(spec, k, fields_name)
+    dest = dest_dir / f"member_{k:06d}.frd"
+    write_path(path, dest)
+    return str(dest)
+
 
 def _dim_worker(spec, k, fields_name, octaves, kind):
     to_cloud = dm.image_cloud if kind == "dim_image" else dm.graph_cloud
@@ -170,13 +193,8 @@ def _mu_worker(spec, k, fields_name, gamma, sharpness, restrict):
 def _task_generate(spec, jobs, out_dir, results, verdicts, rows):
     path_dir = out_dir / "paths"
     path_dir.mkdir(parents=True, exist_ok=True)
-    files = []
-    for k in range(spec.ensemble):
-        p = generate_driver(spec, k)
-        dest = path_dir / f"member_{k:06d}.frd"
-        write_path(p, dest)
-        files.append(str(dest))
-    results["generate"] = {"files": files}
+    files, failures = _member_map(_write_worker, spec, range(spec.ensemble), jobs, path_dir)
+    results["generate"] = {"files": list(files.values()), "failures": failures}
 
 
 def _task_solve(spec, jobs, out_dir, results, verdicts, rows):
@@ -184,18 +202,16 @@ def _task_solve(spec, jobs, out_dir, results, verdicts, rows):
     for fname in spec.fields:
         sol_dir = out_dir / f"solutions_{fname}"
         sol_dir.mkdir(parents=True, exist_ok=True)
-        files = []
-        for k in range(spec.ensemble):
-            sol = solve_member(spec, k, fname)
-            dest = sol_dir / f"member_{k:06d}.frd"
-            write_path(sol, dest)
-            files.append(str(dest))
+        files, failures = _member_map(
+            _write_worker, spec, range(spec.ensemble), jobs, sol_dir, fname
+        )
         fs = resolve_fields(fname, spec.dim)
         rep = None
         if fs.dim_state == fs.dim_noise:
             pts = [np.zeros(spec.dim), np.ones(spec.dim) * 0.5]
             rep = check_ellipticity(fs, 1e-6, pts).lambda_min_observed
-        info[fname] = {"files": files, "lambda_min_sample": rep}
+        info[fname] = {"files": list(files.values()), "lambda_min_sample": rep,
+                       "failures": failures}
     results["solve"] = info
 
 
@@ -223,7 +239,7 @@ def _dim_task(kind, spec, jobs, out_dir, results, verdicts, rows):
                 verdict="pass" if abs(med - target) <= tol else "fail",
             )
         )
-        info[fname] = {"median_slope": med, "slopes": slopes, "failures": _seeded(spec, failures)}
+        info[fname] = {"median_slope": med, "slopes": slopes, "failures": failures}
         for k, (s, r2) in pairs.items():
             rows.append(
                 dict(estimator=kind, H=spec.hurst, d=spec.dim, n_points=spec.n_points,
@@ -282,7 +298,7 @@ def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
             )
         )
         results["levelset"] = {"hit_fraction": frac, "median_slope": med, "slopes": slopes,
-                               "failures": _seeded(spec, failures)}
+                               "failures": failures}
     else:
         out, failures = _member_map(
             _hit_worker, spec, range(spec.ensemble), jobs, fname, restrict
@@ -300,7 +316,7 @@ def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
             )
         )
         results["levelset"] = {"hit_fractions": fracs, "etas": etas,
-                               "failures": _seeded(spec, failures)}
+                               "failures": failures}
 
 
 def _sup_worker(spec, k, fields_name, restricts):
@@ -373,7 +389,7 @@ def _task_tail(spec, jobs, out_dir, results, verdicts, rows):
         "log_probs": curve.log_probs.tolist(),
         "scaling_exceedances": ps,
         "rank_corr": rank,
-        "failures": _seeded(spec, failures),
+        "failures": failures,
     }
     with open(out_dir / "tail_curve.csv", "w", encoding="utf-8") as fh:
         fh.write("xi,log_prob\n")
@@ -524,7 +540,7 @@ def _task_energy(spec, jobs, out_dir, results, verdicts, rows):
             )
         )
         info[label] = {"gamma": gamma, "medians": med.tolist(), "growth": growth,
-                       "failures": _seeded(spec, failures)}
+                       "failures": failures}
         for k, values in out.items():
             rows.append(
                 dict(estimator="energy", H=spec.hurst, d=spec.dim, n_points=spec.n_points,
@@ -584,7 +600,7 @@ def _task_mu(spec, jobs, out_dir, results, verdicts, rows):
         "mass_means": mass_means.tolist(),
         "mass2_means": mass2_means.tolist(),
         "energy_means": energy_means.tolist(),
-        "failures": _seeded(spec, failures),
+        "failures": failures,
     }
 
 
@@ -610,8 +626,9 @@ def run(spec: ExperimentSpec, tasks: tuple[str, ...] | None = None, jobs: int = 
     for task in tasks:
         if task not in ALL_TASKS:
             raise RunError(f"unknown task '{task}'")
-    if "tail" in tasks and spec.ensemble < dl._MIN_TAIL_ENSEMBLE:
-        raise RunError(f"tail needs at least {dl._MIN_TAIL_ENSEMBLE} members, not {spec.ensemble}")
+        floor = _ENSEMBLE_FLOORS.get(task, 1)
+        if spec.ensemble < floor:
+            raise RunError(f"{task} needs at least {floor} members, not {spec.ensemble}")
     t0 = time.time()
     out_dir = spec.resolved_output_dir()
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -77,8 +77,7 @@ def test_sections_collect_estimator_params():
     spec = parse_spec(
         "name = x\nhurst = 0.5\ntasks = tail\n[tail]\ns = 0.0\nt = 0.5\nhalvings = 3\n"
     )
-    assert spec.task_params("tail") == {"s": 0.0, "t": 0.5, "halvings": 3}
-    assert spec.task_params("density") == {}
+    assert spec.estimator_params == {"tail": {"s": 0.0, "t": 0.5, "halvings": 3}}
 
 
 def test_task_settings_fill_defaults_from_the_spec():
@@ -147,3 +146,20 @@ def test_generator_dispatch_matches_direct_calls():
 def test_circulant_requires_zero_start():
     with pytest.raises(ConfigError, match="t_start = 0"):
         ExperimentSpec(name="x", hurst=0.5, t_range=(0.5, 1.0))
+
+
+def test_member_seeds_must_fit_u64():
+    # .frd files store the seed as u64; a negative seed would wrap to 2^64 - 1
+    with pytest.raises(ConfigError, match=r"\[0, 2\^64\)"):
+        ExperimentSpec(name="x", hurst=0.5, base_seed=-1)
+    top = 2**64 - 4
+    assert ExperimentSpec(name="x", hurst=0.5, base_seed=top, ensemble=4).base_seed == top
+    with pytest.raises(ConfigError, match="2\\^64"):
+        ExperimentSpec(name="x", hurst=0.5, base_seed=top, ensemble=5)
+
+
+def test_cholesky_grid_limit_checked_in_spec():
+    # the grid has n_points + 1 points, so 8192 steps exceed the 8192-point limit
+    ExperimentSpec(name="x", hurst=0.5, n_points=4096, generator="cholesky")
+    with pytest.raises(ConfigError, match="at most 8192 points"):
+        ExperimentSpec(name="x", hurst=0.5, n_points=8192, generator="cholesky")

@@ -273,6 +273,14 @@ def test_path_binary_roundtrip_keeps_seed(seed):
     assert fbm.read_path(io.BytesIO(buf.getvalue())).seed == seed
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["-1", "2^64"])
+def test_path_binary_rejects_seed_outside_u64(seed):
+    # the header stores a u64; -1 used to be written (and read back) as 2^64 - 1
+    p = SamplePath(TimeGrid(3, 0.0, 1.0), np.zeros((3, 1)), seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        fbm.write_path(p, io.BytesIO())
+
+
 def test_path_binary_reads_version_1():
     values = np.array([[0.0], [0.5], [-1.0]])
     for seed, expected in ((0, None), (11, 11)):  # v1 wrote an untagged seed as 0

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -77,13 +78,28 @@ MEMBER_TASKS = {
 }
 
 
-@pytest.mark.parametrize("case", list(MEMBER_TASKS))
+# the tasks that write one .frd file per member; 9 members split unevenly into blocks
+FILE_TASKS = {
+    "generate": ("generate", dict(n_points=256, ensemble=9)),
+    "solve": ("solve", dict(dim=2, fields=("identity", "elliptic_sin_2d"), n_points=256, ensemble=9)),
+}
+
+
+def _frd_bytes(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*.frd"))}
+
+
+@pytest.mark.parametrize("case", list(MEMBER_TASKS) + list(FILE_TASKS))
 def test_jobs_do_not_change_results(tmp_path, case):
-    task, overrides = MEMBER_TASKS[case]
+    task, overrides = {**MEMBER_TASKS, **FILE_TASKS}[case]
     spec = small_spec(tmp_path, **overrides)
     a = run(spec, tasks=(task,), jobs=1)
+    files = _frd_bytes(tmp_path)
     b = run(spec, tasks=(task,), jobs=2)
     assert a.results == b.results
+    assert _frd_bytes(tmp_path) == files  # the files written at jobs 2 are byte-identical
+    if task in FILE_TASKS:
+        assert len(files) == spec.ensemble * (len(spec.fields) if task == "solve" else 1)
 
 
 def test_run_requires_known_tasks(tmp_path):
@@ -155,6 +171,13 @@ def test_cli_seed_override_changes_output(tmp_path):
     assert first != second
 
 
+def test_cli_out_of_range_seed_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, f"name = x\nhurst = 0.5\nn_points = 256\noutput_dir = {tmp_path}\n")
+    assert cli.main(["gen", cfg, "--jobs", "1", "--seed", "-1"]) == 2
+    assert "2^64" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_bad_config_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "name = x\nhurst = 0.1\n")
     assert cli.main(["gen", cfg]) == 2
@@ -209,8 +232,10 @@ def test_shipped_configs_parse():
         assert spec.tasks
 
 
-def test_member_failure_rate_policy():
+def test_member_failure_rate_policy(tmp_path):
     from fracdim.harness import RunError, _member_map
+
+    spec = small_spec(tmp_path)  # base_seed 11
 
     def flaky(spec, i):
         if i % 10 == 0:
@@ -218,16 +243,29 @@ def test_member_failure_rate_policy():
         return i
 
     with pytest.raises(RunError, match="member failures"):
-        _member_map(flaky, None, range(100), 1)
+        _member_map(flaky, spec, range(100), 1)
 
     def one_bad(spec, i):
         if i == 0:
             raise ValueError("boom")
         return i
 
-    res, fails = _member_map(one_bad, None, range(200), 1)
+    res, fails = _member_map(one_bad, spec, range(200), 1)
     assert len(res) == 199
-    assert list(fails) == [0]
+    assert fails == {11: "ValueError: boom"}  # keyed by the member's seed
+
+
+def _dies_on_member_3(spec, k):
+    if k == 3:
+        os._exit(1)  # the worker process dies, as under an out-of-memory kill
+    return k
+
+
+def test_dead_worker_process_fails_its_block(tmp_path):
+    from fracdim.harness import _member_map
+
+    with pytest.raises(RunError, match="member failures.*BrokenProcessPool"):
+        _member_map(_dies_on_member_3, small_spec(tmp_path), range(16), 2)
 
 
 def test_tail_task_writes_curve_csv(tmp_path):
@@ -270,7 +308,7 @@ def _failure_maps(node):
 @pytest.mark.parametrize(
     "task, n_points, ensemble",
     [("dim_image", 256, 100), ("levelset", 1024, 100), ("tail", 64, 1001),
-     ("energy", 64, 100), ("mu", 256, 100)],
+     ("energy", 64, 100), ("mu", 256, 100), ("solve", 256, 100)],
 )
 def test_member_failure_is_reported_under_its_seed(tmp_path, monkeypatch, task, n_points, ensemble):
     from fracdim import harness
@@ -298,10 +336,10 @@ def test_member_failure_is_reported_under_its_seed(tmp_path, monkeypatch, task, 
 
 
 def _count_solves(monkeypatch, failing=()):
-    """Count harness solve_member calls per member; members in ``failing`` raise."""
+    """Count harness and density solve_member calls per member; members in ``failing`` raise."""
     from collections import Counter
 
-    from fracdim import harness
+    from fracdim import density, harness
 
     real = harness.solve_member
     calls = Counter()
@@ -313,6 +351,7 @@ def _count_solves(monkeypatch, failing=()):
         return real(spec, k, *args)
 
     monkeypatch.setattr(harness, "solve_member", counted)
+    monkeypatch.setattr(density, "solve_member", counted)
     return calls
 
 
@@ -325,12 +364,17 @@ def test_each_member_is_solved_once(tmp_path, monkeypatch, case):
     assert calls == {k: 1 for k in range(spec.ensemble)}
 
 
-def test_tail_floor_is_on_the_requested_ensemble(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "task, floor", [("tail", 1000), ("density", 10_000), ("bivariate", 100_000)],
+    ids=["tail", "density", "bivariate"],
+)
+def test_tail_floor_is_on_the_requested_ensemble(tmp_path, monkeypatch, task, floor):
     calls = _count_solves(monkeypatch, failing={1})
-    report = run(small_spec(tmp_path, n_points=64, ensemble=1000), tasks=("tail",))
-    assert len(report.verdicts) == 2  # 999 survivors, within the 1% failure cap
-    assert report.results["tail"]["failures"] == {12: "ValueError: boom"}
-    calls.clear()
-    with pytest.raises(RunError, match="at least 1000"):
-        run(small_spec(tmp_path, n_points=64, ensemble=999), tasks=("tail",))
+    if task == "tail":
+        report = run(small_spec(tmp_path, n_points=64, ensemble=1000), tasks=("tail",))
+        assert len(report.verdicts) == 2  # 999 survivors, within the 1% failure cap
+        assert report.results["tail"]["failures"] == {12: "ValueError: boom"}
+        calls.clear()
+    with pytest.raises(RunError, match=f"{task} needs at least {floor} members, not {floor - 1}"):
+        run(small_spec(tmp_path, n_points=64, ensemble=floor - 1), tasks=(task,))
     assert not calls  # rejected before any member is solved

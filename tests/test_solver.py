@@ -181,8 +181,6 @@ def test_finite_difference_fallback_matches_analytic():
         v=analytic.v,
         dv0=lambda x: np.zeros((2, 2)),
     )
-    assert fd.uses_fd_derivatives
-    assert not analytic.uses_fd_derivatives
     _, sig = brownian_driver(64, 2, seed=6)
     a = solver.solve(analytic, np.zeros(2), sig, SolverScheme("step2_davie"))
     b = solver.solve(fd, np.zeros(2), sig, SolverScheme("step2_davie"))
