@@ -3,9 +3,10 @@
 Configs are flat ``key = value`` text with one optional ``[task]`` section per
 estimator carrying its parameters.  ``TASK_PARAMS`` is the one table of every
 section key, with its type and default; a spec rejects an unknown or wrongly
-typed section key, however it was built.  Parsing fills defaults, resolves
-``scheme = auto`` against the Hurst index, and rejects unknown keys with
-distinct messages.
+typed section key, however it was built.  Parsing fills defaults and rejects
+unknown or repeated keys with distinct messages.  The sampler and the solver
+scheme are not keys: a grid starting at 0 is drawn by the circulant sampler and
+any other by Cholesky, and the scheme is the one the Hurst index needs.
 """
 from __future__ import annotations
 
@@ -61,8 +62,6 @@ TASK_PARAMS: dict[str, dict] = {
 
 ALL_TASKS = tuple(TASK_PARAMS)
 
-_GENERATORS = ("cholesky", "circulant")
-
 
 def _as_type_of(default, value):
     """``value`` converted to the type of ``default``; ValueError if it has another."""
@@ -86,8 +85,7 @@ def _names(raw: str) -> tuple[str, ...]:
 #: top-level key -> converter from its text; t_start and t_end form t_range
 _TOP_LEVEL = {
     "name": str, "hurst": float, "dim": int, "n_points": int, "t_start": float, "t_end": float,
-    "generator": str, "fields": _names, "scheme": str, "ensemble": int, "base_seed": int,
-    "output_dir": str, "tasks": _names,
+    "fields": _names, "ensemble": int, "base_seed": int, "output_dir": str, "tasks": _names,
 }
 
 
@@ -97,16 +95,20 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Full declarative description of one run."""
+    """Full declarative description of one run.
+
+    ``generator`` and ``scheme`` are derived, not set: ``circulant`` when the grid
+    starts at 0, else ``cholesky``; ``step2_davie`` for H > 1/3, else ``step3``.
+    """
 
     name: str
     hurst: float
     dim: int = 1
     n_points: int = 4096
     t_range: tuple[float, float] = (0.0, 1.0)
-    generator: str = "circulant"
+    generator: str = field(init=False)
     fields: tuple[str, ...] = ("identity",)
-    scheme: str = "auto"
+    scheme: str = field(init=False)
     ensemble: int = 1
     base_seed: int = 0
     estimator_params: dict = field(default_factory=dict)
@@ -118,21 +120,19 @@ class ExperimentSpec:
             raise ConfigError("name is required")
         try:
             HurstParam(self.hurst)
-            object.__setattr__(self, "scheme", scheme_for(self.hurst, self.scheme).kind)
-        except ValueError as exc:  # hurst out of range, unknown or too weak scheme
+        except ValueError as exc:  # hurst out of range
             raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "scheme", scheme_for(self.hurst).kind)
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
         if self.n_points < 2 or self.n_points & (self.n_points - 1):
             raise ConfigError("n_points must be a power of two")
         if self.t_range[1] <= self.t_range[0] or self.t_range[0] < 0:
             raise ConfigError("t_range must satisfy 0 <= start < end")
-        if self.generator not in _GENERATORS:
-            raise ConfigError(f"unknown generator '{self.generator}'")
-        if self.generator == "circulant" and self.t_range[0] != 0.0:
-            raise ConfigError("circulant generator requires t_start = 0")
+        object.__setattr__(self, "generator", "circulant" if self.t_range[0] == 0 else "cholesky")
         if self.generator == "cholesky" and self.n_points + 1 > CHOLESKY_MAX_N:
-            raise ConfigError(f"cholesky grids hold at most {CHOLESKY_MAX_N} points (n_points + 1)")
+            raise ConfigError(f"a grid starting after t = 0 is drawn by cholesky, which holds "
+                              f"at most {CHOLESKY_MAX_N} points (n_points + 1)")
         if self.ensemble < 1:
             raise ConfigError("ensemble must be >= 1")
         if self.base_seed < 0 or self.base_seed + self.ensemble - 1 >= 2**64:
@@ -188,22 +188,28 @@ def _parse_scalar(raw: str):
 
 
 def parse_spec(text: str) -> ExperimentSpec:
-    """Parse a configuration document; unknown keys are rejected."""
+    """Parse a configuration document; unknown and repeated keys are rejected."""
     top: dict = {}
     sections: dict[str, dict] = {}
-    current: dict | None = None
+    section = None  # the [task] being read; None at the top level
+    first_line: dict[tuple, int] = {}  # (section, key) -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = sections.setdefault(line[1:-1].strip(), {})
+            section = line[1:-1].strip()
+            sections.setdefault(section, {})
             continue
         if "=" not in line:
             raise ConfigError(f"expected 'key = value' (line {lineno})")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if current is not None:
-            current[key] = _parse_scalar(raw)
+        earlier = first_line.setdefault((section, key), lineno)
+        if earlier != lineno:
+            where = f" in [{section}]" if section is not None else ""
+            raise ConfigError(f"duplicate key '{key}'{where} (lines {earlier} and {lineno})")
+        if section is not None:
+            sections[section][key] = _parse_scalar(raw)
             continue
         if key not in _TOP_LEVEL:
             raise ConfigError(f"unknown key '{key}' (line {lineno})")
@@ -238,16 +244,15 @@ def solve_member(
     spec: ExperimentSpec,
     index: int,
     fields_name: str | None = None,
-    x0=None,
 ) -> SamplePath:
-    """Full pipeline for one member: generate -> lift -> solve, seed-tagged.
+    """Full pipeline for one member: generate -> lift -> solve from 0, seed-tagged.
 
     Constant field sets (identity) skip the lift, which is exact for them.
     """
     name = fields_name or spec.fields[0]
     fs: VectorFieldSet = resolve_fields(name, spec.dim)
     driver = generate_driver(spec, index)
-    start = np.zeros(fs.dim_state) if x0 is None else np.asarray(x0, dtype=float)
+    start = np.zeros(fs.dim_state)
     if fs.constant:
         values = _constant_field_path(fs, start, driver.values, driver.grid)
         return SamplePath(driver.grid, values, hurst=driver.hurst, seed=driver.seed)

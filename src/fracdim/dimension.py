@@ -129,16 +129,15 @@ def cloud_span(cloud: PointCloud) -> float:
     return float((p.max(axis=0) - p.min(axis=0)).max())
 
 
-def default_eps_range(cloud: PointCloud, floor_hint: float = 0.0) -> tuple[float, float]:
-    """Scale window (span/8 down to max(floor_hint, span/1024))."""
+def default_eps_range(cloud: PointCloud, floor_hint: float = 0.0) -> tuple[float, float] | None:
+    """Scale window (span/8 down to max(floor_hint, span/1024)).
+
+    None when no scale is left: the cloud is one point, or the floor reaches span/8.
+    """
     span = cloud_span(cloud)
-    if span == 0.0:
-        return (1.0, 1.0 / 128.0)
     hi = span / 8.0
     lo = max(floor_hint, span / 1024.0)
-    if lo >= hi:
-        lo = hi / 4.0
-    return (hi, lo)
+    return (hi, lo) if lo < hi else None
 
 
 def box_dimension(
@@ -174,15 +173,32 @@ def box_dimension(
     )
 
 
-def tube_floor(path: SamplePath, gamma: float | None = None) -> float:
+def _anchored_slope(cloud: PointCloud, octaves: int) -> tuple[float, float]:
+    """Slope and R^2 over the finest trusted octaves (counts below saturation)."""
+    span = cloud_span(cloud)
+    threshold = max(2, int(_SATURATION_FRACTION * len(cloud)))
+    eps = span / 8.0
+    lo = eps
+    while eps > span / 4096.0:
+        if box_count(cloud, eps) >= threshold:
+            break
+        lo = eps
+        eps /= 2.0
+    hi = min(span / 8.0, lo * 2.0**octaves)
+    if hi <= lo:  # saturated at the coarsest scale already (degenerate cloud)
+        hi = lo * 2.0**octaves
+    est = box_dimension(cloud, (hi, lo), octaves + 1)
+    return est.slope, est.r_squared
+
+
+def tube_floor(path: SamplePath) -> float:
     """Smallest meaningful tube radius: empirical modulus times spacing^gamma.
 
-    gamma defaults to 0.9 H (declared or estimated); the modulus is taken over
-    dyadic lags so the floor dominates one-step wander.
+    gamma is 0.9 H (declared or estimated); the modulus is taken over dyadic
+    lags so the floor dominates one-step wander.
     """
-    if gamma is None:
-        h = path.hurst.value if path.hurst is not None else empirical_holder_exponent(path)
-        gamma = 0.9 * h
+    h = path.hurst.value if path.hurst is not None else empirical_holder_exponent(path)
+    gamma = 0.9 * h
     v = path.values
     n = v.shape[0]
     dt = path.grid.spacing

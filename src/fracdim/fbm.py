@@ -206,11 +206,11 @@ def kernel_kh(t: float, s: float, h: HurstParam | float) -> float:
     return head + c * (0.5 - H) * s ** (0.5 - H) * integral
 
 
-def _positive_subgrid(grid: TimeGrid) -> tuple[TimeGrid, bool]:
-    """Grid without the pinned t=0 point; flags whether a zero row was dropped."""
+def _positive_subgrid(grid: TimeGrid) -> TimeGrid:
+    """Grid without the pinned t=0 point."""
     if grid.t_start == 0.0:
-        return TimeGrid(grid.n_points - 1, grid.spacing, grid.t_end), True
-    return grid, False
+        return TimeGrid(grid.n_points - 1, grid.spacing, grid.t_end)
+    return grid
 
 
 def _covariance_matrix(pos: np.ndarray, H: float) -> np.ndarray:
@@ -222,7 +222,7 @@ def _covariance_matrix(pos: np.ndarray, H: float) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _grid_factorization(grid: TimeGrid, H: float) -> tuple[np.ndarray, np.ndarray]:
     """(entries, cholesky factor) over the positive points, jittered if needed."""
-    sub, _ = _positive_subgrid(grid)
+    sub = _positive_subgrid(grid)
     if sub.n_points < 2:
         raise ValueError("need at least two positive grid points")
     M = _covariance_matrix(sub.points, H)
@@ -248,7 +248,7 @@ def _grid_factorization(grid: TimeGrid, H: float) -> tuple[np.ndarray, np.ndarra
 def build_covariance_grid(grid: TimeGrid, h: HurstParam | float) -> CovarianceGrid:
     """Covariance matrix over the positive grid points (t=0 row is dropped)."""
     H = _hurst_value(h)
-    sub, _ = _positive_subgrid(grid)
+    sub = _positive_subgrid(grid)
     entries, _ = _grid_factorization(grid, H)
     return CovarianceGrid(sub, entries.copy())
 

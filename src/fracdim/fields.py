@@ -1,11 +1,11 @@
 """Vector-field sets for the driven state equation, plus a named catalog.
 
 The diffusion matrix convention is V(x)[i, j] = i-th component of the j-th
-noise field.  Derivative layouts:
+noise field.  Every set supplies its derivatives, laid out as:
 
-* ``dv(x)[i, l, j]``   = d V[i, j] / d x_l
-* ``d2v(x)[i, m, l, j]`` = d^2 V[i, j] / (d x_m d x_l)
-* ``dv0(x)[i, l]``     = d V0[i] / d x_l
+* ``first_derivatives(x)[i, l, j]``     = d V[i, j] / d x_l
+* ``second_derivatives(x)[i, m, l, j]`` = d^2 V[i, j] / (d x_m d x_l)
+* ``drift_derivatives(x)[i, l]``        = d V0[i] / d x_l
 """
 from __future__ import annotations
 
@@ -24,15 +24,11 @@ __all__ = [
     "resolve_fields",
 ]
 
-_FD_STEP = 1e-5
-
 
 @dataclass(frozen=True)
 class VectorFieldSet:
-    """Drift V0 and diffusion fields V1..Vd with derivative evaluations.
+    """Drift V0 and diffusion fields V1..Vd with their analytic derivatives.
 
-    Analytic derivatives are preferred; missing ones fall back to central
-    finite differences (step 1e-5 * (1 + |x|)).
     ``constant`` marks state-independent V0 and V, which lets the solver take
     its exact cumulative-sum path.
     """
@@ -41,55 +37,11 @@ class VectorFieldSet:
     dim_noise: int
     v0: Callable[[np.ndarray], np.ndarray]
     v: Callable[[np.ndarray], np.ndarray]
-    dv: Callable[[np.ndarray], np.ndarray] | None = None
-    d2v: Callable[[np.ndarray], np.ndarray] | None = None
-    dv0: Callable[[np.ndarray], np.ndarray] | None = None
+    first_derivatives: Callable[[np.ndarray], np.ndarray]
+    second_derivatives: Callable[[np.ndarray], np.ndarray]
+    drift_derivatives: Callable[[np.ndarray], np.ndarray]
     constant: bool = False
     name: str = ""
-
-    def first_derivatives(self, x: np.ndarray) -> np.ndarray:
-        if self.dv is not None:
-            return self.dv(x)
-        n, d = self.dim_state, self.dim_noise
-        out = np.empty((n, n, d))
-        h = _FD_STEP * (1.0 + float(np.abs(x).max()))
-        for l in range(n):
-            e = np.zeros(n)
-            e[l] = h
-            out[:, l, :] = (self.v(x + e) - self.v(x - e)) / (2 * h)
-        return out
-
-    def second_derivatives(self, x: np.ndarray) -> np.ndarray:
-        if self.d2v is not None:
-            return self.d2v(x)
-        n, d = self.dim_state, self.dim_noise
-        out = np.empty((n, n, n, d))
-        h = _FD_STEP * (1.0 + float(np.abs(x).max()))
-        for m in range(n):
-            em = np.zeros(n)
-            em[m] = h
-            for l in range(n):
-                el = np.zeros(n)
-                el[l] = h
-                out[:, m, l, :] = (
-                    self.v(x + em + el)
-                    - self.v(x + em - el)
-                    - self.v(x - em + el)
-                    + self.v(x - em - el)
-                ) / (4 * h * h)
-        return out
-
-    def drift_derivatives(self, x: np.ndarray) -> np.ndarray:
-        if self.dv0 is not None:
-            return self.dv0(x)
-        n = self.dim_state
-        out = np.empty((n, n))
-        h = _FD_STEP * (1.0 + float(np.abs(x).max()))
-        for l in range(n):
-            e = np.zeros(n)
-            e[l] = h
-            out[:, l] = (self.v0(x + e) - self.v0(x - e)) / (2 * h)
-        return out
 
 
 def make_identity(dim: int) -> VectorFieldSet:
@@ -104,9 +56,9 @@ def make_identity(dim: int) -> VectorFieldSet:
         dim_noise=dim,
         v0=lambda x: zero_n,
         v=lambda x: eye,
-        dv=lambda x: zero_dv,
-        d2v=lambda x: zero_d2v,
-        dv0=lambda x: zero_dv0,
+        first_derivatives=lambda x: zero_dv,
+        second_derivatives=lambda x: zero_d2v,
+        drift_derivatives=lambda x: zero_dv0,
         constant=True,
         name="identity",
     )
@@ -119,9 +71,9 @@ def make_geometric_1d(sigma: float = 1.0) -> VectorFieldSet:
         dim_noise=1,
         v0=lambda x: np.zeros(1),
         v=lambda x: np.array([[sigma * x[0]]]),
-        dv=lambda x: np.array([[[sigma]]]),
-        d2v=lambda x: np.zeros((1, 1, 1, 1)),
-        dv0=lambda x: np.zeros((1, 1)),
+        first_derivatives=lambda x: np.array([[[sigma]]]),
+        second_derivatives=lambda x: np.zeros((1, 1, 1, 1)),
+        drift_derivatives=lambda x: np.zeros((1, 1)),
         name="geometric_1d",
     )
 
@@ -163,9 +115,9 @@ def make_elliptic_sin_2d() -> VectorFieldSet:
         dim_noise=2,
         v0=lambda x: np.zeros(2),
         v=v,
-        dv=dv,
-        d2v=d2v,
-        dv0=lambda x: np.zeros((2, 2)),
+        first_derivatives=dv,
+        second_derivatives=d2v,
+        drift_derivatives=lambda x: np.zeros((2, 2)),
         name="elliptic_sin_2d",
     )
 
@@ -190,9 +142,9 @@ def make_drift_only(dim: int) -> VectorFieldSet:
         dim_noise=dim,
         v0=v0,
         v=lambda x: zero_v,
-        dv=lambda x: np.zeros((dim, dim, dim)),
-        d2v=lambda x: np.zeros((dim, dim, dim, dim)),
-        dv0=dv0,
+        first_derivatives=lambda x: np.zeros((dim, dim, dim)),
+        second_derivatives=lambda x: np.zeros((dim, dim, dim, dim)),
+        drift_derivatives=dv0,
         name="drift_only",
     )
 

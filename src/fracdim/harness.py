@@ -138,25 +138,7 @@ def _write_worker(spec, k, dest_dir, fields_name=None):
 
 def _dim_worker(spec, k, fields_name, octaves, kind):
     to_cloud = dm.image_cloud if kind == "dim_image" else dm.graph_cloud
-    return _anchored_slope(to_cloud(solve_member(spec, k, fields_name)), octaves)
-
-
-def _anchored_slope(cloud: dm.PointCloud, octaves: int) -> tuple[float, float]:
-    """Slope over the finest trusted octaves (counts below saturation)."""
-    span = dm.cloud_span(cloud)
-    threshold = max(2, len(cloud) // 4)
-    eps = span / 8.0
-    lo = eps
-    while eps > span / 4096.0:
-        if dm.box_count(cloud, eps) >= threshold:
-            break
-        lo = eps
-        eps /= 2.0
-    hi = min(span / 8.0, lo * 2.0**octaves)
-    if hi <= lo:  # saturated at the coarsest scale already (degenerate cloud)
-        hi = lo * 2.0**octaves
-    est = dm.box_dimension(cloud, (hi, lo), octaves + 1)
-    return est.slope, est.r_squared
+    return dm._anchored_slope(to_cloud(solve_member(spec, k, fields_name)), octaves)
 
 
 def _levelset_worker(spec, k, fields_name, restrict):
@@ -266,13 +248,12 @@ def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
                 continue
             hits += 1
             cloud = dm.PointCloud(times)
-            span = dm.cloud_span(cloud)
-            floor = max(4.0 * eta ** (1.0 / spec.hurst), span / 1024.0)
-            hi = span / 8.0
-            if floor >= hi:
+            window = dm.default_eps_range(cloud, 4.0 * eta ** (1.0 / spec.hurst))
+            if window is None:
                 continue
+            hi, floor = window
             n_scales = max(4, int(round(math.log2(hi / floor))) + 1)
-            est = dm.box_dimension(cloud, (hi, floor), n_scales)
+            est = dm.box_dimension(cloud, window, n_scales)
             slopes.append(est.slope)
             rows.append(
                 dict(estimator="levelset", H=spec.hurst, d=spec.dim,

@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fracdim import fbm
@@ -11,6 +12,7 @@ from fracdim.config import (
     member_seed,
     parse_spec,
 )
+from fracdim.solver import scheme_for
 
 
 MINIMAL = """
@@ -37,13 +39,47 @@ def test_hurst_out_of_range_message():
 
 
 def test_scheme_auto_resolves_step3_for_low_hurst():
-    spec = parse_spec("name = x\nhurst = 0.3\nscheme = auto\n")
-    assert spec.scheme == "step3"
+    # the scheme is derived from H: step 3 at or below 1/3, step 2 above
+    assert ExperimentSpec(name="x", hurst=0.3).scheme == "step3"
+    assert ExperimentSpec(name="x", hurst=1 / 3).scheme == "step3"
+    assert ExperimentSpec(name="x", hurst=0.35).scheme == "step2_davie"
 
 
 def test_step2_rejected_for_low_hurst():
-    with pytest.raises(ConfigError, match="step3"):
+    # a config cannot ask for a scheme, so it cannot ask for step 2 at H <= 1/3
+    with pytest.raises(ConfigError, match=r"unknown key 'scheme' \(line 3\)"):
         parse_spec("name = x\nhurst = 0.3\nscheme = step2_davie\n")
+    with pytest.raises(ValueError, match="step3"):
+        scheme_for(0.3, "step2_davie")
+
+
+@pytest.mark.parametrize("line", ["generator = cholesky", "scheme = auto", "scheme = step3"])
+def test_derived_keys_rejected_with_their_line(line):
+    with pytest.raises(ConfigError, match=rf"unknown key '{line.split()[0]}' \(line 3\)"):
+        parse_spec(f"name = x\nhurst = 0.5\n{line}\n")
+    with pytest.raises(TypeError):
+        ExperimentSpec(name="x", hurst=0.5, **dict([line.split(" = ")]))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("name = x\nhurst = 0.5\nhurst = 0.7\n", r"duplicate key 'hurst' \(lines 2 and 3\)"),
+        ("name = x\nhurst = 0.5\n[tail]\nhalvings = 3\ns = 0.1\nhalvings = 5\n",
+         r"duplicate key 'halvings' in \[tail\] \(lines 4 and 6\)"),
+        ("name = x\nhurst = 0.5\n[mu]\ndelta = 0.2\n[tail]\ns = 0.1\n[mu]\ndelta = 0.3\n",
+         r"duplicate key 'delta' in \[mu\] \(lines 4 and 8\)"),
+    ],
+    ids=["top_level", "in_section", "in_reopened_section"],
+)
+def test_duplicate_key_rejected(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_spec(text)
+
+
+def test_same_key_in_two_sections_allowed():
+    spec = parse_spec("name = x\nhurst = 0.5\n[tail]\ns = 0.1\n[density]\ns = 0.2\n")
+    assert spec.estimator_params == {"tail": {"s": 0.1}, "density": {"s": 0.2}}
 
 
 def test_non_power_of_two_points_rejected():
@@ -133,19 +169,24 @@ def test_grid_adds_pinned_origin():
 
 
 def test_generator_dispatch_matches_direct_calls():
+    # a grid from 0 draws through circulant, any other through cholesky
     spec = ExperimentSpec(name="x", hurst=0.6, n_points=64, base_seed=9)
-    import numpy as np
-
+    assert spec.generator == "circulant"
     direct = fbm.generate_circulant(spec.grid, 1, 0.6, 9)
     assert np.array_equal(generate_driver(spec, 0).values, direct.values)
-    spec2 = ExperimentSpec(name="x", hurst=0.6, n_points=64, base_seed=9, generator="cholesky")
-    direct2 = fbm.generate_cholesky(spec2.grid, 1, 0.6, 9)
-    assert np.array_equal(generate_driver(spec2, 0).values, direct2.values)
+    late = parse_spec("name = x\nhurst = 0.6\nn_points = 64\nt_start = 0.5\nbase_seed = 9\n")
+    assert late.generator == "cholesky"
+    assert late.grid.t_start == 0.5
+    direct = fbm.generate_cholesky(late.grid, 1, 0.6, 9)
+    assert np.array_equal(generate_driver(late, 0).values, direct.values)
 
 
 def test_circulant_requires_zero_start():
-    with pytest.raises(ConfigError, match="t_start = 0"):
-        ExperimentSpec(name="x", hurst=0.5, t_range=(0.5, 1.0))
+    # the spec never hands circulant a grid it cannot draw
+    spec = ExperimentSpec(name="x", hurst=0.5, n_points=64, t_range=(0.5, 1.0))
+    assert spec.generator == "cholesky"
+    with pytest.raises(ValueError, match="starting at 0"):
+        fbm.generate_circulant(spec.grid, 1, 0.5, 0)
 
 
 def test_member_seeds_must_fit_u64():
@@ -159,7 +200,9 @@ def test_member_seeds_must_fit_u64():
 
 
 def test_cholesky_grid_limit_checked_in_spec():
-    # the grid has n_points + 1 points, so 8192 steps exceed the 8192-point limit
-    ExperimentSpec(name="x", hurst=0.5, n_points=4096, generator="cholesky")
-    with pytest.raises(ConfigError, match="at most 8192 points"):
-        ExperimentSpec(name="x", hurst=0.5, n_points=8192, generator="cholesky")
+    # a grid after 0 is drawn by cholesky; it has n_points + 1 points, so 8192
+    # steps exceed the 8192-point limit, which a grid from 0 does not have
+    ExperimentSpec(name="x", hurst=0.5, n_points=4096, t_range=(0.5, 1.0))
+    with pytest.raises(ConfigError, match="cholesky, which holds at most 8192 points"):
+        ExperimentSpec(name="x", hurst=0.5, n_points=8192, t_range=(0.5, 1.0))
+    assert ExperimentSpec(name="x", hurst=0.5, n_points=8192).generator == "circulant"

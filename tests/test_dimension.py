@@ -164,11 +164,10 @@ def test_brownian_zero_set_dimension():
             continue
         hits += 1
         cloud = PointCloud(ls.times)
-        span = dm.cloud_span(cloud)
-        floor = max(4.0 * eta**2, span / 1024)
-        est = dm.box_dimension(
-            cloud, (span / 8, floor), max(4, int(round(math.log2(span / 8 / floor))) + 1)
-        )
+        window = dm.default_eps_range(cloud, 4.0 * eta**2)
+        if window is None:
+            continue
+        est = dm.box_dimension(cloud, window, max(4, int(round(math.log2(window[0] / window[1]))) + 1))
         slopes.append(est.slope)
     assert hits / total >= 0.1
     assert abs(float(np.median(slopes)) - 0.5) <= 0.15

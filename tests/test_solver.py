@@ -35,8 +35,9 @@ def test_ellipticity_diagonal_constant():
         dim_noise=2,
         v0=lambda x: np.zeros(2),
         v=lambda x: diag,
-        dv=lambda x: np.zeros((2, 2, 2)),
-        dv0=lambda x: np.zeros((2, 2)),
+        first_derivatives=lambda x: np.zeros((2, 2, 2)),
+        second_derivatives=lambda x: np.zeros((2, 2, 2, 2)),
+        drift_derivatives=lambda x: np.zeros((2, 2)),
         constant=True,
     )
     rep = solver.check_ellipticity(fs, 0.2, [np.zeros(2)])
@@ -64,6 +65,9 @@ def test_ellipticity_rejects_nonsquare():
         dim_noise=1,
         v0=lambda x: np.zeros(2),
         v=lambda x: np.ones((2, 1)),
+        first_derivatives=lambda x: np.zeros((2, 2, 1)),
+        second_derivatives=lambda x: np.zeros((2, 2, 2, 1)),
+        drift_derivatives=lambda x: np.zeros((2, 2)),
     )
     with pytest.raises(ValueError, match="square"):
         solver.check_ellipticity(fs, 0.1, [np.zeros(2)])
@@ -146,8 +150,9 @@ def test_solve_overflow_guard_reports_step():
         dim_noise=1,
         v0=lambda x: np.array([x[0] ** 2]),
         v=lambda x: np.zeros((1, 1)),
-        dv=lambda x: np.zeros((1, 1, 1)),
-        dv0=lambda x: np.array([[2 * x[0]]]),
+        first_derivatives=lambda x: np.zeros((1, 1, 1)),
+        second_derivatives=lambda x: np.zeros((1, 1, 1, 1)),
+        drift_derivatives=lambda x: np.array([[2 * x[0]]]),
     )
     flat = SamplePath(TimeGrid(129, 0.0, 1.0), np.zeros((129, 1)))
     sig = rp.lift_path(flat, 2)
@@ -163,28 +168,14 @@ def test_solve_nan_state_reports_step():
         dim_noise=1,
         v0=lambda x: np.array([np.nan if x[0] > 0.5 else 1.0]),
         v=lambda x: np.zeros((1, 1)),
-        dv=lambda x: np.zeros((1, 1, 1)),
-        dv0=lambda x: np.zeros((1, 1)),
+        first_derivatives=lambda x: np.zeros((1, 1, 1)),
+        second_derivatives=lambda x: np.zeros((1, 1, 1, 1)),
+        drift_derivatives=lambda x: np.zeros((1, 1)),
     )
     flat = SamplePath(TimeGrid(129, 0.0, 1.0), np.zeros((129, 1)))
     sig = rp.lift_path(flat, 2)
     with pytest.raises(solver.SolverError, match="step 66"):
         solver.solve(nan_past_half, np.zeros(1), sig, SolverScheme("step2_davie"))
-
-
-def test_finite_difference_fallback_matches_analytic():
-    analytic = fields.make_elliptic_sin_2d()
-    fd = VectorFieldSet(
-        dim_state=2,
-        dim_noise=2,
-        v0=analytic.v0,
-        v=analytic.v,
-        dv0=lambda x: np.zeros((2, 2)),
-    )
-    _, sig = brownian_driver(64, 2, seed=6)
-    a = solver.solve(analytic, np.zeros(2), sig, SolverScheme("step2_davie"))
-    b = solver.solve(fd, np.zeros(2), sig, SolverScheme("step2_davie"))
-    assert np.abs(a.values - b.values).max() < 1e-6
 
 
 def test_bounded_fields_sup_has_gaussian_type_tail():
