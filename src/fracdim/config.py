@@ -3,7 +3,8 @@
 Configs are flat ``key = value`` text with one optional ``[task]`` section per
 estimator carrying its parameters.  ``TASK_PARAMS`` is the one table of every
 section key, with its type and default; a spec rejects an unknown or wrongly
-typed section key, however it was built.  Parsing fills defaults and rejects
+typed section key, however it was built, and rejects settings that one of
+its tasks cannot use (``_TASK_RULES``).  Parsing fills defaults and rejects
 unknown or repeated keys with distinct messages.  The sampler and the solver
 scheme are not keys: a grid starting at 0 is drawn by the circulant sampler and
 any other by Cholesky, and the scheme is the one the Hurst index needs.
@@ -61,6 +62,26 @@ TASK_PARAMS: dict[str, dict] = {
 }
 
 ALL_TASKS = tuple(TASK_PARAMS)
+
+
+def _increasing_positive(values) -> bool:
+    return len(values) >= 2 and values[0] > 0 and all(b > a for a, b in zip(values, values[1:]))
+
+
+#: task -> (key, test of its settings and the spec, what the test needs); a task
+#: whose settings fail is rejected before it solves a member
+_TASK_RULES: dict[str, tuple] = {
+    "energy": (
+        ("levels", lambda p, spec: p["levels"] >= 2, "at least 2 refinement levels"),
+        ("levels", lambda p, spec: 2 ** (p["levels"] - 1) <= spec.n_points,
+         "2^(levels-1) <= n_points, the coarsest decimation factor"),
+    ),
+    "mu": (
+        ("sharpness", lambda p, spec: _increasing_positive(p["sharpness"]),
+         "at least 2 strictly increasing positive values"),
+        ("t_lo", lambda p, spec: 0 < p["t_lo"] < spec.t_range[1], "a value in (0, t_end)"),
+    ),
+}
 
 
 def _as_type_of(default, value):
@@ -147,6 +168,8 @@ class ExperimentSpec:
                 raise ConfigError(f"unknown task '{task}'")
         for task in self.estimator_params:
             self.task_settings(task)  # rejects an unknown or wrongly typed key
+        for task in self.tasks:
+            self.check_task(task)
 
     @property
     def grid(self) -> TimeGrid:
@@ -172,6 +195,15 @@ class ExperimentSpec:
             except ValueError as exc:
                 raise ConfigError(f"[{task}] {key} = {params[key]!r}: {exc}") from None
         return settings
+
+    def check_task(self, task: str) -> None:
+        """Reject settings the task's estimator cannot use, naming the section and key."""
+        settings = self.task_settings(task)
+        for key, usable, need in _TASK_RULES.get(task, ()):
+            if not usable(settings, self):
+                value = settings[key]
+                shown = ",".join(map(str, value)) if isinstance(value, tuple) else value
+                raise ConfigError(f"[{task}] {key} = {shown}: needs {need}")
 
     def resolved_output_dir(self) -> Path:
         root = self.output_dir or os.environ.get("FRACDIM_OUT") or "out"

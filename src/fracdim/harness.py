@@ -5,7 +5,8 @@ Every verdict names the mathematical claim it tests and the window applied.
 Each task reads its parameters and windows as one dict,
 ``spec.task_settings(task)``: the config section over the defaults of
 ``config.TASK_PARAMS``, which lists every section key; a spec rejects an
-unknown or wrongly typed key.  ``_member_map`` runs the members of every task
+unknown or wrongly typed key, and ``run`` rejects settings a requested task
+cannot use (``spec.check_task``) before any member is solved.  ``_member_map`` runs the members of every task
 but density and bivariate, and aborts once more than 1% fail
 (``MEMBER_FAILURE_RATE``, not configurable).  Member seeds are base_seed +
 index, so parallel execution order can never change a result.
@@ -156,12 +157,8 @@ def _hit_worker(spec, k, fields_name, restrict):
     return dist.min(), dm.tube_floor(sol)
 
 
-def _energy_worker(spec, k, fields_name, gammas, factors, restrict):
-    sol = solve_member(spec, k, fields_name)
-    return [
-        [dm.energy_integral(sol.decimate(f), g, restrict).value for f in factors]
-        for g in gammas
-    ]
+def _energy_worker(spec, k, fields_name, gammas, factors):
+    return dm.energy_ladder(solve_member(spec, k, fields_name), gammas, factors)
 
 
 def _mu_worker(spec, k, fields_name, gamma, sharpness, restrict):
@@ -488,12 +485,11 @@ def _task_energy(spec, jobs, out_dir, results, verdicts, rows):
     crit = min(spec.dim, 1.0 / spec.hurst)
     gammas = (crit - p["gamma_offset"], crit + p["gamma_offset"])
     levels = p["levels"]
-    restrict = (spec.t_range[0], spec.t_range[1])
     factors = [2 ** (levels - 1 - j) for j in range(levels)]  # coarse to fine
     stable_cap = p["energy_stable_growth"]
     grow_last, grow_total = p["energy_grow_last"], p["energy_grow_total"]
     out, failures = _member_map(
-        _energy_worker, spec, range(spec.ensemble), jobs, fname, gammas, factors, restrict
+        _energy_worker, spec, range(spec.ensemble), jobs, fname, gammas, factors
     )
     info = {}
     for i, (label, gamma) in enumerate(zip(("below", "above"), gammas)):
@@ -610,6 +606,7 @@ def run(spec: ExperimentSpec, tasks: tuple[str, ...] | None = None, jobs: int = 
         floor = _ENSEMBLE_FLOORS.get(task, 1)
         if spec.ensemble < floor:
             raise RunError(f"{task} needs at least {floor} members, not {spec.ensemble}")
+        spec.check_task(task)
     t0 = time.time()
     out_dir = spec.resolved_output_dir()
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -152,6 +152,37 @@ def test_bad_section_key_rejected(task, key, value):
         replace(ExperimentSpec(name="x", hurst=0.5), estimator_params=params)
 
 
+@pytest.mark.parametrize(
+    "task, key, section, top",
+    [
+        ("energy", "levels", "levels = 1", ""),
+        ("energy", "levels", "levels = 4", "n_points = 4\n"),
+        ("mu", "sharpness", "sharpness = 4", ""),
+        ("mu", "sharpness", "sharpness = 16,4", ""),
+        ("mu", "sharpness", "sharpness = 0,4", ""),
+        ("mu", "t_lo", "t_lo = 0", ""),
+        ("mu", "t_lo", "t_lo = 1.0", ""),
+    ],
+)
+def test_unusable_task_setting_rejected(task, key, section, top):
+    names_both = rf"(?=.*\[{task}\])(?=.*\b{key}\b)"
+    text = f"name = x\nhurst = 0.5\n{top}tasks = {task}\n[{task}]\n{section}\n"
+    with pytest.raises(ConfigError, match=names_both):
+        parse_spec(text)
+
+
+def test_unusable_setting_of_a_requested_task_fails_before_any_solve(tmp_path, monkeypatch):
+    from fracdim import harness
+
+    def no_solve(*args):
+        raise AssertionError("a member was solved")
+
+    monkeypatch.setattr(harness, "solve_member", no_solve)
+    spec = parse_spec(f"name = x\nhurst = 0.5\noutput_dir = {tmp_path}\n[mu]\nsharpness = 4\n")
+    with pytest.raises(ConfigError, match=r"\[mu\] sharpness"):
+        harness.run(spec, tasks=("mu",))
+
+
 def test_comments_and_blank_lines_ignored():
     spec = parse_spec("# header\nname = x  # trailing\nhurst = 0.5\n\n")
     assert spec.name == "x"

@@ -203,6 +203,66 @@ def test_energy_coincident_points_sentinel():
     n = 65
     path = SamplePath(TimeGrid(n, 0.0, 1.0), np.zeros((n, 1)))
     assert dm.energy_integral(path, 0.5, (0.0, 1.0)).value == math.inf
+    assert np.all(dm.energy_ladder(path, [0.0, 0.5], [8, 4, 2, 1]) == math.inf)
+
+
+def _energy_direct(path, gamma):
+    """The per-call block loop energy_ladder replaced: the oracle for its sums."""
+    v = path.values
+    n = v.shape[0]
+    dt = path.grid.spacing
+    w = dm._trapezoid_weights(n, dt)
+    total = 0.0
+    block = max(1, int(2**22) // n)
+    for a in range(0, n, block):
+        b = min(a + block, n)
+        dist = np.sqrt(((v[a:b, None, :] - v[None, :, :]) ** 2).sum(axis=-1))
+        loc = np.arange(b - a)
+        dist[loc, loc + a] = 1.0
+        if np.any(dist < dm._COINCIDENT_TOL):
+            return math.inf
+        contrib = dm._kernel(dist, gamma)
+        contrib[loc, loc + a] = 0.0
+        total += float((w[a:b, None] * w[None, :] * contrib).sum())
+    return total
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_energy_ladder_matches_direct_sum_on_each_decimation(monkeypatch, d):
+    # n = 4097 splits the pairs into many row blocks, whose first rows fall at
+    # every offset of the strided levels
+    p = fbm.generate_circulant(TimeGrid(4097, 0.0, 1.0), d, 0.6, seed=40 + d)
+    gammas, factors = [0.0, 0.5, 1.2, 1.46], [8, 4, 2, 1]
+    direct = np.array([[_energy_direct(p.decimate(f), g) for f in factors] for g in gammas])
+    for block in (dm._BLOCK_ENTRIES, 2**22):
+        monkeypatch.setattr(dm, "_BLOCK_ENTRIES", block)
+        ladder = dm.energy_ladder(p, gammas, factors)
+        np.testing.assert_allclose(ladder, direct, rtol=1e-12, atol=0)
+
+
+def test_energy_ladder_sentinel_is_per_level():
+    # the only coincident pair is (1, 3): on the fine grid alone
+    p = fbm.generate_circulant(TimeGrid(17, 0.0, 1.0), 2, 0.6, seed=11)
+    values = p.values.copy()
+    values[3] = values[1]
+    path = SamplePath(p.grid, values)
+    ladder = dm.energy_ladder(path, [0.0, 0.5], [4, 2, 1])
+    assert np.all(ladder[:, 2] == math.inf)
+    for gi, gamma in enumerate((0.0, 0.5)):
+        for fi, f in enumerate((4, 2)):
+            coarse = path.decimate(f)
+            assert math.isfinite(ladder[gi, fi])
+            assert ladder[gi, fi] == pytest.approx(
+                dm.energy_integral(coarse, gamma, (0.0, 1.0)).value, rel=1e-12)
+            assert ladder[gi, fi] == pytest.approx(_energy_direct(coarse, gamma), rel=1e-12)
+
+
+def test_energy_ladder_rejects_bad_factor_and_gamma():
+    p = fbm.generate_circulant(TimeGrid(17, 0.0, 1.0), 1, 0.6, seed=12)
+    with pytest.raises(ValueError, match="divide"):
+        dm.energy_ladder(p, [0.5], [3])
+    with pytest.raises(ValueError, match="gamma"):
+        dm.energy_ladder(p, [-0.5], [1])
 
 
 # ----------------------------------------------------------------- mu measure
@@ -232,6 +292,31 @@ def test_mu_mass_splits_additively():
     left, _ = dm.mu_measure(p, np.zeros(1), 16.0, 0.4, (0.25, 0.5))
     right, _ = dm.mu_measure(p, np.zeros(1), 16.0, 0.4, (0.5, 1.0))
     assert whole == pytest.approx(left + right, rel=1e-9)
+
+
+def _mu_direct(path, x, n, gamma, restrict):
+    """mu_measure with the dense |t-s| kernel matrix: the oracle for its lag form."""
+    sub = path.restrict(*restrict)
+    dist2 = ((sub.values - np.atleast_1d(x)[None, :]) ** 2).sum(axis=1)
+    f = (2.0 * math.pi * n) ** (sub.dim / 2.0) * np.exp(-0.5 * n * dist2)
+    w = dm._trapezoid_weights(sub.grid.n_points, sub.grid.spacing)
+    g = w * f
+    t = sub.grid.points
+    gap = np.abs(t[:, None] - t[None, :])
+    keep = gap >= sub.grid.spacing * (1 - 1e-9)
+    kern = np.zeros_like(gap)
+    kern[keep] = dm._kernel(gap[keep], gamma)
+    return float(w @ f), float(g @ kern @ g)
+
+
+@pytest.mark.parametrize("restrict", [(0.1, 1.0), (0.125, 1.0), (0.25, 0.75)])
+def test_mu_lag_form_matches_dense_kernel(restrict):
+    p = fbm.generate_circulant(TimeGrid(1025, 0.0, 1.0), 1, 0.5, seed=13)
+    for gamma in (0.0, 0.4):
+        for sharp in (4.0, 16.0, 64.0, 256.0):
+            got = dm.mu_measure(p, np.zeros(1), sharp, gamma, restrict)
+            want = _mu_direct(p, np.zeros(1), sharp, gamma, restrict)
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_mu_requires_positive_epsilon():
