@@ -6,10 +6,11 @@ Each task reads its parameters and windows as one dict,
 ``spec.task_settings(task)``: the config section over the defaults of
 ``config.TASK_PARAMS``, which lists every section key; a spec rejects an
 unknown or wrongly typed key, and ``run`` rejects settings a requested task
-cannot use (``spec.check_task``) before any member is solved.  ``_member_map`` runs the members of every task
-but density and bivariate, and aborts once more than 1% fail
-(``MEMBER_FAILURE_RATE``, not configurable).  Member seeds are base_seed +
-index, so parallel execution order can never change a result.
+cannot use (``spec.check_task``) before any member is solved.
+``_member_map`` runs the members of every task but density and bivariate, and
+aborts once more than 1% fail (``MEMBER_FAILURE_RATE``, not configurable).
+Member seeds are base_seed + index, so parallel execution order can never
+change a result.
 """
 from __future__ import annotations
 
