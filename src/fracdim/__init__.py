@@ -28,13 +28,10 @@ from .roughpath import (
     SignaturePath,
     TruncatedTensor,
     chen_concat,
-    homogeneous_norm,
     lift_path,
-    p_variation,
-    rho_variation_2d,
     segment_signature,
 )
-from .solver import EllipticityReport, SolverScheme, check_ellipticity, convergence_probe, solve
+from .solver import EllipticityReport, SolverScheme, check_ellipticity, solve
 
 __all__ = [
     "CovarianceGrid",
@@ -50,19 +47,15 @@ __all__ = [
     "build_covariance_grid",
     "chen_concat",
     "check_ellipticity",
-    "convergence_probe",
     "covariance",
     "generate_cholesky",
     "generate_circulant",
-    "homogeneous_norm",
     "kernel_kh",
     "lift_path",
-    "p_variation",
     "parse_spec",
     "parse_spec_file",
     "read_path",
     "resolve_fields",
-    "rho_variation_2d",
     "segment_signature",
     "solve",
     "write_path",

@@ -68,6 +68,13 @@ def _increasing_positive(values) -> bool:
     return len(values) >= 2 and values[0] > 0 and all(b > a for a, b in zip(values, values[1:]))
 
 
+#: the KDE tasks read each member's state at times s < t, away from 0 and on the grid
+_KDE_TIMES = (
+    ("s", lambda p, spec: max(0.1, spec.t_range[0]) <= p["s"] < p["t"],
+     "max(0.1, t_start) <= s < t"),
+    ("t", lambda p, spec: p["t"] <= spec.t_range[1], "t <= t_end"),
+)
+
 #: task -> (key, test of its settings and the spec, what the test needs); a task
 #: whose settings fail is rejected before it solves a member
 _TASK_RULES: dict[str, tuple] = {
@@ -81,6 +88,10 @@ _TASK_RULES: dict[str, tuple] = {
          "at least 2 strictly increasing positive values"),
         ("t_lo", lambda p, spec: 0 < p["t_lo"] < spec.t_range[1], "a value in (0, t_end)"),
     ),
+    "levelset": (("t_lo", lambda p, spec: p["t_lo"] < p["t_hi"], "t_lo < t_hi"),),
+    "tail": (("s", lambda p, spec: p["s"] < p["t"], "s < t"),),
+    "density": _KDE_TIMES,
+    "bivariate": _KDE_TIMES,
 }
 
 

@@ -2,7 +2,7 @@
 
 Exact Gaussian samplers (dense Cholesky and circulant embedding), the fBm
 covariance function, the Volterra kernel representation, uniform time grids,
-and the shared on-disk path formats used by the rest of the package.
+and the shared binary path format used by the rest of the package.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, TextIO
+from typing import BinaryIO
 
 import numpy as np
 from scipy import integrate, special
@@ -30,7 +30,6 @@ __all__ = [
     "generate_cholesky",
     "generate_circulant",
     "kernel_kh",
-    "path_to_csv",
     "read_path",
     "write_path",
 ]
@@ -405,18 +404,3 @@ def read_path(src: str | Path | BinaryIO) -> SamplePath:
         hurst=None if math.isnan(hurst) else HurstParam(hurst),
         seed=seed if has_seed else None,
     )
-
-
-def path_to_csv(path: SamplePath, dest: str | Path | TextIO) -> None:
-    """CSV export: header t,x1,...,xd and 17 significant digits per value."""
-
-    def emit(fh: TextIO) -> None:
-        fh.write("t," + ",".join(f"x{j + 1}" for j in range(path.dim)) + "\n")
-        for t, row in zip(path.grid.points, path.values):
-            fh.write(f"{t:.17g}," + ",".join(f"{x:.17g}" for x in row) + "\n")
-
-    if hasattr(dest, "write"):
-        emit(dest)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            emit(fh)

@@ -65,7 +65,10 @@ def make_identity(dim: int) -> VectorFieldSet:
 
 
 def make_geometric_1d(sigma: float = 1.0) -> VectorFieldSet:
-    """dX = sigma X dB in one dimension; closed form x0 exp(sigma B) at H=1/2."""
+    """dX = sigma X dB in one dimension; the Doss-Sussmann flow x0 exp(sigma B_t).
+
+    For a piecewise-linear driver this closed form is exact at every H.
+    """
     return VectorFieldSet(
         dim_state=1,
         dim_noise=1,

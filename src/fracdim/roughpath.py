@@ -1,36 +1,27 @@
 """Truncated tensor algebra over discrete paths.
 
-Segment signatures, Chen concatenation, homogeneous norms, exact p-variation
-by dynamic programming, and the 2-D rho-variation of covariance grids.
-Depth is capped at 3, which covers every Hurst index above 1/4.
+Segment signatures, Chen concatenation, the per-interval signature lift of a
+sampled path and its Chen coarsening onto coarser grids.  Depth is capped at
+3, which covers every Hurst index above 1/4.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import CovarianceGrid, HurstParam, SamplePath, TimeGrid
+from .fbm import HurstParam, SamplePath, TimeGrid
 
 __all__ = [
-    "DP_MAX_N",
-    "PartitionValue",
     "SignaturePath",
     "TruncatedTensor",
     "chen_concat",
     "coarsen",
-    "homogeneous_norm",
-    "identity_tensor",
     "lift_path",
-    "p_variation",
     "required_depth",
-    "rho_variation_2d",
     "segment_signature",
 ]
 
-#: largest grid for which exact partition suprema are computed
-DP_MAX_N = 4096
 MAX_DEPTH = 3
 
 
@@ -60,21 +51,6 @@ class TruncatedTensor:
                 raise ValueError("tensor entries must be finite")
             fixed.append(arr)
         object.__setattr__(self, "levels", tuple(fixed))
-
-
-@dataclass(frozen=True)
-class PartitionValue:
-    """p-variation value together with the partition that achieves it."""
-
-    p: float
-    value: float
-    argmax_partition: list[int]
-
-    def __post_init__(self) -> None:
-        part = list(self.argmax_partition)
-        if any(b <= a for a, b in zip(part, part[1:])):
-            raise ValueError("partition indices must be strictly increasing")
-        object.__setattr__(self, "argmax_partition", part)
 
 
 @dataclass(frozen=True)
@@ -118,11 +94,6 @@ class SignaturePath:
         return TruncatedTensor(self.dim, self.depth, (np.array(1.0), *levels))
 
 
-def identity_tensor(dim: int, depth: int) -> TruncatedTensor:
-    levels = [np.array(1.0)] + [np.zeros((dim,) * m) for m in range(1, depth + 1)]
-    return TruncatedTensor(dim, depth, tuple(levels))
-
-
 def segment_signature(increment: np.ndarray, depth: int) -> TruncatedTensor:
     """Signature exp(increment) of a linear segment: level m is Delta^(x)m / m!."""
     delta = np.asarray(increment, dtype=float).reshape(-1)
@@ -148,17 +119,6 @@ def chen_concat(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
             acc = acc + np.multiply.outer(a.levels[i], b.levels[m - i])
         levels.append(acc)
     return TruncatedTensor(a.dim, a.depth, tuple(levels))
-
-
-def homogeneous_norm(a: TruncatedTensor) -> float:
-    """max_m |level m|^(1/m); equivalent to the Carnot-Caratheodory norm."""
-    if float(a.levels[0]) != 1.0:
-        raise ValueError("homogeneous norm is defined on group elements (level 0 = 1)")
-    best = 0.0
-    for m in range(1, a.depth + 1):
-        size = float(np.sqrt((a.levels[m] ** 2).sum()))
-        best = max(best, size ** (1.0 / m))
-    return best
 
 
 def required_depth(h: HurstParam | float) -> int:
@@ -248,11 +208,10 @@ def _cumulative(sig: SignaturePath) -> list[np.ndarray]:
     return out
 
 
-def _between(cum: list[np.ndarray], i, j: int) -> list[np.ndarray]:
+def _between(cum: list[np.ndarray], i: int, j: int) -> list[np.ndarray]:
     """Levels 1..depth of g_i^-1 (x) g_j, the signature over [t_i, t_j].
 
-    ``cum`` holds the running signatures of ``_cumulative``; an index array or
-    slice ``i`` stacks the result along a leading axis.
+    ``cum`` holds the running signatures of ``_cumulative``.
     """
     a1 = cum[0][i]
     l1 = cum[0][j] - a1
@@ -271,70 +230,4 @@ def _between(cum: list[np.ndarray], i, j: int) -> list[np.ndarray]:
         )
     return out
 
-
-def _dyadic_nodes(n_nodes: int, max_nodes: int) -> np.ndarray:
-    levels = 0
-    while 2 ** (levels + 1) + 1 <= max_nodes:
-        levels += 1
-    k = np.arange(2**levels + 1, dtype=float)
-    return np.unique(np.round(k * (n_nodes - 1) / 2**levels).astype(int))
-
-
-def p_variation(sig: SignaturePath, p: float, dyadic: bool = False) -> PartitionValue:
-    """Supremum over grid sub-partitions of (sum |increment|^p)^(1/p).
-
-    Exact dynamic programming over all grid indices up to DP_MAX_N points;
-    larger grids must opt into the dyadic sub-partition approximation.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    n_nodes = sig.n_intervals + 1
-    if n_nodes > DP_MAX_N:
-        if not dyadic:
-            raise ValueError(f"grid exceeds {DP_MAX_N} points; pass dyadic=True")
-        nodes = _dyadic_nodes(n_nodes, DP_MAX_N)
-    else:
-        nodes = np.arange(n_nodes)
-    cum = [g[nodes] for g in _cumulative(sig)]
-    m = nodes.size
-    best = np.empty(m)
-    best[0] = 0.0
-    ptr = np.zeros(m, dtype=int)
-    for j in range(1, m):
-        norm = np.zeros(j)
-        for order, lv in enumerate(_between(cum, slice(0, j), j), start=1):
-            size = (lv.reshape(j, -1) ** 2).sum(axis=-1) ** (0.5 / order)
-            np.maximum(norm, size, out=norm)
-        cand = best[:j] + norm**p
-        k = int(np.argmax(cand))
-        best[j] = cand[k]
-        ptr[j] = k
-    part = [m - 1]
-    while part[-1] != 0:
-        part.append(int(ptr[part[-1]]))
-    part.reverse()
-    return PartitionValue(p, float(best[-1] ** (1.0 / p)), [int(nodes[i]) for i in part])
-
-
-def rho_variation_2d(cov: CovarianceGrid, rho: float) -> float:
-    """2-D rho-variation of the covariance over simultaneous dyadic partitions.
-
-    Rectangular increments are increment covariances E[(B_t-B_s)(B_v-B_u)];
-    the supremum is approximated over same-level dyadic sub-partitions of the
-    stored grid.
-    """
-    if rho < 1:
-        raise ValueError("rho must be >= 1")
-    n = cov.grid.n_points
-    if n > DP_MAX_N:
-        raise ValueError(f"grid exceeds {DP_MAX_N} points")
-    max_level = max(int(math.floor(math.log2(n - 1))), 0) if n > 1 else 0
-    best = 0.0
-    for level in range(max_level + 1):
-        k = np.arange(2**level + 1, dtype=float)
-        idx = np.unique(np.round(k * (n - 1) / 2**level).astype(int))
-        s = cov.entries[np.ix_(idx, idx)]
-        rect = s[1:, 1:] - s[1:, :-1] - s[:-1, 1:] + s[:-1, :-1]
-        best = max(best, float((np.abs(rect) ** rho).sum() ** (1.0 / rho)))
-    return best
 

@@ -10,16 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import HurstParam, SamplePath, TimeGrid, generate_circulant
+from .fbm import HurstParam, SamplePath, TimeGrid
 from .fields import VectorFieldSet
-from .roughpath import SignaturePath, coarsen, lift_path, required_depth
+from .roughpath import SignaturePath, required_depth
 
 __all__ = [
     "EllipticityReport",
     "SolverError",
     "SolverScheme",
     "check_ellipticity",
-    "convergence_probe",
     "scheme_for",
     "solve",
 ]
@@ -174,36 +173,3 @@ def solve(
             raise SolverError(f"state overflow at step {k + 1}")
         out[k + 1] = x
     return SamplePath(grid, out, hurst=driver.hurst)
-
-
-def convergence_probe(
-    fields: VectorFieldSet,
-    x0: np.ndarray,
-    h: HurstParam | float,
-    seed: int,
-    levels: int,
-    coarsest_exponent: int = 6,
-    scheme: SolverScheme | None = None,
-    t_end: float = 1.0,
-) -> list[tuple[int, float]]:
-    """Self-refinement error probe over dyadic grids sharing one driver path.
-
-    Solves on grids of 2^j steps for ``levels`` consecutive j, all driven by
-    Chen-coarsenings of one fine path; reports the sup-norm error of each
-    coarse solve against the finest one as (step_count, error) pairs.
-    """
-    if levels < 3:
-        raise ValueError("levels must be >= 3")
-    scheme = scheme_for(h, "auto" if scheme is None else scheme.kind)
-    finest = coarsest_exponent + levels - 1
-    grid = TimeGrid(2**finest + 1, 0.0, t_end)
-    driver_path = generate_circulant(grid, fields.dim_noise, h, seed)
-    sig = lift_path(driver_path, scheme.depth)
-    reference = solve(fields, x0, sig, scheme).values
-    results = []
-    for j in range(coarsest_exponent, finest):
-        factor = 2 ** (finest - j)
-        coarse = solve(fields, x0, coarsen(sig, factor), scheme).values
-        err = float(np.abs(coarse - reference[::factor]).max())
-        results.append((2**j, err))
-    return results

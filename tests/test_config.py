@@ -162,6 +162,16 @@ def test_bad_section_key_rejected(task, key, value):
         ("mu", "sharpness", "sharpness = 0,4", ""),
         ("mu", "t_lo", "t_lo = 0", ""),
         ("mu", "t_lo", "t_lo = 1.0", ""),
+        ("levelset", "t_lo", "t_lo = 0.9\nt_hi = 0.5", ""),
+        ("levelset", "t_lo", "t_lo = 0.5\nt_hi = 0.5", ""),
+        ("tail", "s", "s = 0.8\nt = 0.5", ""),
+        ("density", "s", "s = 0.8\nt = 0.5", ""),
+        ("density", "s", "s = 0.05", ""),
+        ("density", "t", "t = 1.5", ""),
+        ("density", "s", "s = 0.2", "n_points = 64\nt_start = 0.5\n"),
+        ("bivariate", "s", "s = 0.05", ""),
+        ("bivariate", "s", "s = 0.75\nt = 0.25", ""),
+        ("bivariate", "t", "t = 0.75", "t_end = 0.5\n"),
     ],
 )
 def test_unusable_task_setting_rejected(task, key, section, top):

@@ -302,16 +302,6 @@ def test_path_binary_rejects_payload_length_mismatch():
         fbm.read_path(io.BytesIO(raw[:-8]))
 
 
-def test_path_csv_export():
-    p = SamplePath(TimeGrid(2, 0.0, 1.0), np.array([[0.0, 1.5], [1.0 / 3.0, -2.0]]))
-    buf = io.StringIO()
-    fbm.path_to_csv(p, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "t,x1,x2"
-    assert lines[2].startswith("1,")
-    assert "0.33333333333333331" in lines[2]
-
-
 # ---------------------------------------------------------------- path object
 
 def test_sample_path_shape_validation():

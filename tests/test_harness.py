@@ -1,9 +1,12 @@
+import importlib
 import json
 import os
+import pkgutil
 
 import numpy as np
 import pytest
 
+import fracdim
 from fracdim import cli
 from fracdim.config import ExperimentSpec, parse_spec
 from fracdim.harness import RunError, Verdict, report_render, run
@@ -378,3 +381,13 @@ def test_tail_floor_is_on_the_requested_ensemble(tmp_path, monkeypatch, task, fl
     with pytest.raises(RunError, match=f"{task} needs at least {floor} members, not {floor - 1}"):
         run(small_spec(tmp_path, n_points=64, ensemble=floor - 1), tasks=(task,))
     assert not calls  # rejected before any member is solved
+
+
+@pytest.mark.parametrize(
+    "module", ["fracdim"] + [f"fracdim.{m.name}" for m in pkgutil.iter_modules(fracdim.__path__)]
+)
+def test_every_public_name_resolves(module):
+    # a stale __all__ entry breaks `from ... import *` and every getattr over __all__
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing

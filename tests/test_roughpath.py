@@ -25,7 +25,8 @@ def tensors_close(a, b, tol=1e-12):
 
 def test_segment_signature_zero_is_identity():
     t = rp.segment_signature(np.zeros(3), 2)
-    assert tensors_close(t, rp.identity_tensor(3, 2), tol=0)
+    assert float(t.levels[0]) == 1.0
+    assert all(not lv.any() for lv in t.levels[1:])
 
 
 def test_segment_signature_1d_values():
@@ -52,7 +53,7 @@ def test_segment_signature_diagonal_halves():
 def test_chen_identity_neutral():
     rng = np.random.default_rng(0)
     a = random_group_element(rng)
-    e = rp.identity_tensor(2, 2)
+    e = rp.segment_signature(np.zeros(2), 2)
     assert tensors_close(rp.chen_concat(e, a), a, tol=0)
     assert tensors_close(rp.chen_concat(a, e), a, tol=0)
 
@@ -106,38 +107,6 @@ def test_one_dim_level2_degeneracy_after_concat():
     assert t.levels[2][0, 0] == pytest.approx(t.levels[1][0] ** 2 / 2, rel=1e-12)
 
 
-# ----------------------------------------------------------- homogeneous norm
-
-def test_homogeneous_norm_identity_zero():
-    assert rp.homogeneous_norm(rp.identity_tensor(2, 3)) == 0.0
-
-
-def test_homogeneous_norm_pure_levels():
-    t = rp.TruncatedTensor(1, 2, (np.array(1.0), np.array([3.0]), np.zeros((1, 1))))
-    assert rp.homogeneous_norm(t) == 3.0
-    t2 = rp.TruncatedTensor(
-        2, 2, (np.array(1.0), np.zeros(2), np.array([[4.0, 0.0], [0.0, 0.0]]))
-    )
-    assert rp.homogeneous_norm(t2) == 2.0
-
-
-def test_homogeneous_norm_subadditivity_logged():
-    # loose factor-2 sanity bound; violations are reported, not failed
-    rng = np.random.default_rng(7)
-    violations = 0
-    for _ in range(100):
-        a = random_group_element(rng, 2, 3)
-        b = random_group_element(rng, 2, 3)
-        lhs = rp.homogeneous_norm(rp.chen_concat(a, b))
-        rhs = 2.0 * (rp.homogeneous_norm(a) + rp.homogeneous_norm(b))
-        if lhs > rhs:
-            violations += 1
-    if violations:
-        import warnings
-
-        warnings.warn(f"norm subadditivity factor-2 bound violated {violations}/100")
-
-
 # ------------------------------------------------------------------ lift path
 
 def make_path(values, hurst=None):
@@ -149,8 +118,7 @@ def make_path(values, hurst=None):
 
 def test_lift_constant_path_gives_identities():
     sig = rp.lift_path(make_path(np.zeros((5, 2))), 2)
-    for k in range(sig.n_intervals):
-        assert rp.homogeneous_norm(sig.increment(k)) == 0.0
+    assert all(not lv.any() for lv in sig.levels)
 
 
 def test_lift_depth_rules():
@@ -213,48 +181,6 @@ def test_levy_area_mean_zero():
     assert abs(area.mean()) <= 3 * se
 
 
-# ---------------------------------------------------------------- p-variation
-
-def test_p_variation_monotone_path_is_one():
-    for n in (3, 9, 17):
-        sig = rp.lift_path(make_path(np.linspace(0, 1, n)), 2)
-        for p in (1.0, 1.5, 2.0, 3.0):
-            pv = rp.p_variation(sig, p)
-            assert pv.value == pytest.approx(1.0, rel=1e-12)
-    assert rp.p_variation(sig, 2.0).argmax_partition[0] == 0
-    assert rp.p_variation(sig, 2.0).argmax_partition[-1] == n - 1
-
-
-def test_p_variation_zigzag():
-    # brute force over the two admissible sub-partitions gives sqrt(2)
-    sig = rp.lift_path(make_path([0.0, 1.0, 0.0]), 2)
-    pv = rp.p_variation(sig, 2.0)
-    assert pv.value == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert pv.argmax_partition == [0, 1, 2]
-
-
-def test_p_variation_non_increasing_in_p():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        sig = rp.lift_path(make_path(rng.normal(size=(17, 2)).cumsum(axis=0)), 2)
-        vals = [rp.p_variation(sig, p).value for p in (1.0, 1.5, 2.0, 3.0)]
-        assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-
-
-def test_p_variation_fbm_refinement_trend():
-    # dyadic-refinement oracle: grows below 1/H, stabilizes above
-    h = 0.5
-    fine = fbm.generate_circulant(TimeGrid(2**9 + 1, 0.0, 1.0), 1, h, seed=21)
-    rough, tame = [], []
-    for j in (6, 7, 8, 9):
-        sig = rp.lift_path(fine.decimate(2 ** (9 - j)), 2)
-        rough.append(rp.p_variation(sig, 1.2).value)
-        tame.append(rp.p_variation(sig, 2.5).value)
-    assert all(b > a for a, b in zip(rough, rough[1:]))
-    assert rough[-1] / rough[0] > 1.3
-    assert (tame[-1] - tame[-2]) / tame[-2] <= 0.05
-
-
 def chen_fold(sig, i, j):
     acc = sig.increment(i)
     for k in range(i + 1, j):
@@ -264,64 +190,10 @@ def chen_fold(sig, i, j):
 
 @pytest.mark.parametrize("depth", [2, 3])
 def test_closed_form_increments_match_chen_fold(depth):
-    # combined and p_variation read increments in closed form off the running
-    # signatures; the interval-by-interval Chen fold is the reference
+    # combined reads increments in closed form off the running signatures;
+    # the interval-by-interval Chen fold is the reference
     rng = np.random.default_rng(depth)
     sig = rp.lift_path(make_path(rng.normal(size=(7, 2)).cumsum(axis=0)), depth)
     for i in range(6):
         for j in range(i + 1, 7):
             assert tensors_close(sig.combined(i, j), chen_fold(sig, i, j), tol=1e-12)
-    p = 2.5
-    brute = 0.0
-    for mask in range(2**5):  # every sub-partition keeping both end points
-        part = [0] + [k for k in range(1, 6) if mask >> (k - 1) & 1] + [6]
-        total = sum(
-            rp.homogeneous_norm(chen_fold(sig, a, b)) ** p for a, b in zip(part, part[1:])
-        )
-        brute = max(brute, total)
-    assert rp.p_variation(sig, p).value == pytest.approx(brute ** (1 / p), rel=1e-12)
-
-
-def test_p_variation_rejects_big_grid_without_flag():
-    sig = rp.lift_path(
-        make_path(np.zeros(rp.DP_MAX_N + 2)), 2
-    )
-    with pytest.raises(ValueError):
-        rp.p_variation(sig, 2.0)
-    rp.p_variation(sig, 2.0, dyadic=True)
-
-
-def test_p_variation_rejects_p_below_one():
-    sig = rp.lift_path(make_path([0.0, 1.0]), 2)
-    with pytest.raises(ValueError):
-        rp.p_variation(sig, 0.5)
-
-
-# ----------------------------------------------------------- 2-D rho-variation
-
-def test_rho_variation_single_rectangle():
-    cov = fbm.build_covariance_grid(TimeGrid(2, 0.3, 0.9), 0.6)
-    r = cov.entries
-    expected = abs(r[1, 1] - r[1, 0] - r[0, 1] + r[0, 0])
-    assert rp.rho_variation_2d(cov, 1.7) == pytest.approx(expected, rel=1e-12)
-
-
-def test_rho_variation_brownian_bounded_by_one():
-    cov = fbm.build_covariance_grid(TimeGrid(65, 0.0, 1.0), 0.5)
-    for rho in (1.0, 1.5, 2.0):
-        assert rp.rho_variation_2d(cov, rho) <= 1.0 + 1e-12
-
-
-def test_rho_variation_stabilizes_at_critical_rho():
-    h = 0.35
-    vals = []
-    for j in (5, 6, 7, 8):
-        cov = fbm.build_covariance_grid(TimeGrid(2**j + 1, 0.0, 1.0), h)
-        vals.append(rp.rho_variation_2d(cov, 1.0 / (2 * h)))
-    assert (vals[-1] - vals[-2]) / vals[-2] <= 0.05
-
-
-def test_rho_variation_validation():
-    cov = fbm.build_covariance_grid(TimeGrid(5, 0.0, 1.0), 0.5)
-    with pytest.raises(ValueError):
-        rp.rho_variation_2d(cov, 0.9)

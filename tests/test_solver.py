@@ -193,43 +193,21 @@ def test_bounded_fields_sup_has_gaussian_type_tail():
     assert slope < 0
 
 
-# --------------------------------------------------------------------- probes
-
-def test_convergence_probe_identity_is_exact():
-    res = solver.convergence_probe(
-        fields.make_identity(2), np.zeros(2), 0.5, seed=5, levels=3
-    )
-    assert [n for n, _ in res] == [64, 128]
-    assert all(e <= 1e-13 for _, e in res)
-
-
-def test_convergence_probe_geometric_rate():
-    res = solver.convergence_probe(
-        fields.make_geometric_1d(0.8), np.ones(1), 0.5, seed=7, levels=4
-    )
-    errs = [e for _, e in res]
-    assert all(b < a for a, b in zip(errs, errs[1:]))
-    # self-refinement rate consistent with a rough-path Euler scheme
-    assert math.log2(errs[0] / errs[-1]) / (len(errs) - 1) >= 0.3
-
+# ------------------------------------------------------------ self-refinement
 
 def test_convergence_probe_elliptic_step3():
-    res = solver.convergence_probe(
-        fields.make_elliptic_sin_2d(),
-        np.zeros(2),
-        0.35,
-        seed=5,
-        levels=4,
-        coarsest_exponent=5,
-        scheme=SolverScheme("step3"),
-    )
-    errs = [e for _, e in res]
+    # coarse solves driven by Chen-coarsenings of one 2^8 lift approach the
+    # fine solve monotonically in sup norm
+    fs = fields.make_elliptic_sin_2d()
+    scheme = SolverScheme("step3")
+    driver = fbm.generate_circulant(TimeGrid(2**8 + 1, 0.0, 1.0), 2, 0.35, seed=5)
+    sig = rp.lift_path(driver, scheme.depth)
+    reference = solver.solve(fs, np.zeros(2), sig, scheme).values
+    errs = []
+    for factor in (8, 4, 2):
+        coarse = solver.solve(fs, np.zeros(2), rp.coarsen(sig, factor), scheme).values
+        errs.append(float(np.abs(coarse - reference[::factor]).max()))
     assert all(b < a for a, b in zip(errs, errs[1:]))
-
-
-def test_convergence_probe_validates_levels():
-    with pytest.raises(ValueError):
-        solver.convergence_probe(fields.make_identity(1), np.zeros(1), 0.5, 0, levels=2)
 
 
 # ------------------------------------------------------------------- catalog
