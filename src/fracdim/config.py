@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numbers
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -33,6 +34,7 @@ __all__ = [
     "member_seed",
     "parse_spec",
     "parse_spec_file",
+    "solve_block",
     "solve_member",
 ]
 
@@ -63,6 +65,10 @@ TASK_PARAMS: dict[str, dict] = {
 
 ALL_TASKS = tuple(TASK_PARAMS)
 
+#: most states (members x grid points) one block solve holds at once, which
+#: bounds its memory; 2^20 is 16 members of the 2^16-step configs
+_BLOCK_STATES = 2**20
+
 
 def _increasing_positive(values) -> bool:
     return len(values) >= 2 and values[0] > 0 and all(b > a for a, b in zip(values, values[1:]))
@@ -88,8 +94,15 @@ _TASK_RULES: dict[str, tuple] = {
          "at least 2 strictly increasing positive values"),
         ("t_lo", lambda p, spec: 0 < p["t_lo"] < spec.t_range[1], "a value in (0, t_end)"),
     ),
-    "levelset": (("t_lo", lambda p, spec: p["t_lo"] < p["t_hi"], "t_lo < t_hi"),),
-    "tail": (("s", lambda p, spec: p["s"] < p["t"], "s < t"),),
+    # the windows read each member on [t_lo, t_hi] and [s, t], inside the grid
+    "levelset": (
+        ("t_lo", lambda p, spec: spec.t_range[0] <= p["t_lo"] < p["t_hi"], "t_start <= t_lo < t_hi"),
+        ("t_hi", lambda p, spec: p["t_hi"] <= spec.t_range[1], "t_hi <= t_end"),
+    ),
+    "tail": (
+        ("s", lambda p, spec: spec.t_range[0] <= p["s"] < p["t"], "t_start <= s < t"),
+        ("t", lambda p, spec: p["t"] <= spec.t_range[1], "t <= t_end"),
+    ),
     "density": _KDE_TIMES,
     "bivariate": _KDE_TIMES,
 }
@@ -283,22 +296,54 @@ def generate_driver(spec: ExperimentSpec, index: int) -> SamplePath:
     return generate_circulant(spec.grid, spec.dim, spec.hurst, seed)
 
 
+def _solve_chunk(spec: ExperimentSpec, fs: VectorFieldSet, chunk: list[int]) -> list:
+    """Each member's seed-tagged solution, or the exception that failed it alone."""
+    out: dict[int, SamplePath | Exception] = {}
+    drivers = {}
+    for i in chunk:
+        try:
+            drivers[i] = generate_driver(spec, i)
+        except Exception as exc:  # this member fails; the block goes on
+            out[i] = exc
+    if fs.constant:
+        for i, driver in drivers.items():
+            values = _constant_field_path(fs, np.zeros(fs.dim_state), driver.values, driver.grid)
+            out[i] = SamplePath(driver.grid, values, hurst=driver.hurst, seed=driver.seed)
+    elif drivers:
+        scheme = SolverScheme(spec.scheme)
+        lifted = lift_path(list(drivers.values()), scheme.depth)
+        sols = solve(fs, np.zeros((len(drivers), fs.dim_state)), lifted, scheme)
+        for (i, driver), sol in zip(drivers.items(), sols):
+            out[i] = sol if isinstance(sol, Exception) else replace(sol, seed=driver.seed)
+    return [out[i] for i in chunk]
+
+
+def solve_block(
+    spec: ExperimentSpec, indices, fields_name: str | None = None
+) -> Iterator[tuple[int, SamplePath | Exception]]:
+    """Generate -> lift -> solve from 0 for each member, seed-tagged, in index order.
+
+    Yields (index, solution), or (index, exception) for a member that failed
+    alone.  Non-constant fields lift and solve up to ``_BLOCK_STATES`` / grid
+    points members at a time, in one time loop; each member's solution is
+    bit-identical to its solve alone.  Constant field sets (identity) skip the
+    lift, which is exact for them, and go one member at a time.
+    """
+    fs = resolve_fields(fields_name or spec.fields[0], spec.dim)
+    indices = list(indices)
+    size = 1 if fs.constant else max(1, _BLOCK_STATES // spec.grid.n_points)
+    for a in range(0, len(indices), size):
+        chunk = indices[a:a + size]
+        yield from zip(chunk, _solve_chunk(spec, fs, chunk))
+
+
 def solve_member(
     spec: ExperimentSpec,
     index: int,
     fields_name: str | None = None,
 ) -> SamplePath:
-    """Full pipeline for one member: generate -> lift -> solve from 0, seed-tagged.
-
-    Constant field sets (identity) skip the lift, which is exact for them.
-    """
-    name = fields_name or spec.fields[0]
-    fs: VectorFieldSet = resolve_fields(name, spec.dim)
-    driver = generate_driver(spec, index)
-    start = np.zeros(fs.dim_state)
-    if fs.constant:
-        values = _constant_field_path(fs, start, driver.values, driver.grid)
-        return SamplePath(driver.grid, values, hurst=driver.hurst, seed=driver.seed)
-    scheme = SolverScheme(spec.scheme)
-    sol = solve(fs, start, lift_path(driver, scheme.depth), scheme)
-    return replace(sol, seed=driver.seed)
+    """One member's solution, the one-member case of ``solve_block``; raises what failed it."""
+    [sol] = _solve_chunk(spec, resolve_fields(fields_name or spec.fields[0], spec.dim), [index])
+    if isinstance(sol, Exception):
+        raise sol
+    return sol

@@ -6,6 +6,10 @@ noise field.  Every set supplies its derivatives, laid out as:
 * ``first_derivatives(x)[i, l, j]``     = d V[i, j] / d x_l
 * ``second_derivatives(x)[i, m, l, j]`` = d^2 V[i, j] / (d x_m d x_l)
 * ``drift_derivatives(x)[i, l]``        = d V0[i] / d x_l
+
+Every function takes stacked states: ``x`` of shape (..., n) gives V of shape
+(..., n, d), first derivatives of shape (..., n, n, d), and so on, one slice
+per state, so the solver can advance a block of members at once.
 """
 from __future__ import annotations
 
@@ -44,21 +48,22 @@ class VectorFieldSet:
     name: str = ""
 
 
+def _zeros(x: np.ndarray, *shape: int) -> np.ndarray:
+    """Zeros of shape (..., *shape) for the stacked states ``x`` of shape (..., n)."""
+    return np.zeros(x.shape[:-1] + shape)
+
+
 def make_identity(dim: int) -> VectorFieldSet:
     """Zero drift, identity diffusion: the solution is x0 + B."""
     eye = np.eye(dim)
-    zero_n = np.zeros(dim)
-    zero_dv = np.zeros((dim, dim, dim))
-    zero_d2v = np.zeros((dim, dim, dim, dim))
-    zero_dv0 = np.zeros((dim, dim))
     return VectorFieldSet(
         dim_state=dim,
         dim_noise=dim,
-        v0=lambda x: zero_n,
-        v=lambda x: eye,
-        first_derivatives=lambda x: zero_dv,
-        second_derivatives=lambda x: zero_d2v,
-        drift_derivatives=lambda x: zero_dv0,
+        v0=lambda x: _zeros(x, dim),
+        v=lambda x: _zeros(x, dim, dim) + eye,
+        first_derivatives=lambda x: _zeros(x, dim, dim, dim),
+        second_derivatives=lambda x: _zeros(x, dim, dim, dim, dim),
+        drift_derivatives=lambda x: _zeros(x, dim, dim),
         constant=True,
         name="identity",
     )
@@ -69,14 +74,20 @@ def make_geometric_1d(sigma: float = 1.0) -> VectorFieldSet:
 
     For a piecewise-linear driver this closed form is exact at every H.
     """
+
+    def v(x: np.ndarray) -> np.ndarray:
+        out = np.empty(x.shape[:-1] + (1, 1))
+        out[..., 0, 0] = sigma * x[..., 0]
+        return out
+
     return VectorFieldSet(
         dim_state=1,
         dim_noise=1,
-        v0=lambda x: np.zeros(1),
-        v=lambda x: np.array([[sigma * x[0]]]),
-        first_derivatives=lambda x: np.array([[[sigma]]]),
-        second_derivatives=lambda x: np.zeros((1, 1, 1, 1)),
-        drift_derivatives=lambda x: np.zeros((1, 1)),
+        v0=lambda x: _zeros(x, 1),
+        v=v,
+        first_derivatives=lambda x: _zeros(x, 1, 1, 1) + sigma,
+        second_derivatives=lambda x: _zeros(x, 1, 1, 1, 1),
+        drift_derivatives=lambda x: _zeros(x, 1, 1),
         name="geometric_1d",
     )
 
@@ -89,38 +100,40 @@ def make_elliptic_sin_2d() -> VectorFieldSet:
     """
 
     def v(x: np.ndarray) -> np.ndarray:
-        s1, c1 = np.sin(x[0]), np.cos(x[0])
-        s2, c2 = np.sin(x[1]), np.cos(x[1])
-        return np.array([[1.0 + 0.1 * s2, 0.1 * c2], [0.1 * s1, 1.0 + 0.1 * c1]])
+        s, c = np.sin(x), np.cos(x)
+        out = np.empty(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 1.0 + 0.1 * s[..., 1]
+        out[..., 0, 1] = 0.1 * c[..., 1]
+        out[..., 1, 0] = 0.1 * s[..., 0]
+        out[..., 1, 1] = 1.0 + 0.1 * c[..., 0]
+        return out
 
     def dv(x: np.ndarray) -> np.ndarray:
-        s1, c1 = np.sin(x[0]), np.cos(x[0])
-        s2, c2 = np.sin(x[1]), np.cos(x[1])
-        out = np.zeros((2, 2, 2))
-        out[0, 1, 0] = 0.1 * c2
-        out[0, 1, 1] = -0.1 * s2
-        out[1, 0, 0] = 0.1 * c1
-        out[1, 0, 1] = -0.1 * s1
+        s, c = np.sin(x), np.cos(x)
+        out = _zeros(x, 2, 2, 2)
+        out[..., 0, 1, 0] = 0.1 * c[..., 1]
+        out[..., 0, 1, 1] = -0.1 * s[..., 1]
+        out[..., 1, 0, 0] = 0.1 * c[..., 0]
+        out[..., 1, 0, 1] = -0.1 * s[..., 0]
         return out
 
     def d2v(x: np.ndarray) -> np.ndarray:
-        s1, c1 = np.sin(x[0]), np.cos(x[0])
-        s2, c2 = np.sin(x[1]), np.cos(x[1])
-        out = np.zeros((2, 2, 2, 2))
-        out[0, 1, 1, 0] = -0.1 * s2
-        out[0, 1, 1, 1] = -0.1 * c2
-        out[1, 0, 0, 0] = -0.1 * s1
-        out[1, 0, 0, 1] = -0.1 * c1
+        s, c = np.sin(x), np.cos(x)
+        out = _zeros(x, 2, 2, 2, 2)
+        out[..., 0, 1, 1, 0] = -0.1 * s[..., 1]
+        out[..., 0, 1, 1, 1] = -0.1 * c[..., 1]
+        out[..., 1, 0, 0, 0] = -0.1 * s[..., 0]
+        out[..., 1, 0, 0, 1] = -0.1 * c[..., 0]
         return out
 
     return VectorFieldSet(
         dim_state=2,
         dim_noise=2,
-        v0=lambda x: np.zeros(2),
+        v0=lambda x: _zeros(x, 2),
         v=v,
         first_derivatives=dv,
         second_derivatives=d2v,
-        drift_derivatives=lambda x: np.zeros((2, 2)),
+        drift_derivatives=lambda x: _zeros(x, 2, 2),
         name="elliptic_sin_2d",
     )
 
@@ -129,24 +142,24 @@ def make_drift_only(dim: int) -> VectorFieldSet:
     """Pure smooth bounded drift, zero diffusion; the deterministic benchmark."""
 
     def v0(x: np.ndarray) -> np.ndarray:
-        return 0.5 * np.sin(np.roll(x, -1)) + 0.3 * np.cos(x)
+        return 0.5 * np.sin(np.roll(x, -1, axis=-1)) + 0.3 * np.cos(x)
 
     def dv0(x: np.ndarray) -> np.ndarray:
-        out = np.zeros((dim, dim))
-        rolled = 0.5 * np.cos(np.roll(x, -1))
+        out = _zeros(x, dim, dim)
+        rolled = 0.5 * np.cos(np.roll(x, -1, axis=-1))
+        sin_x = np.sin(x)
         for i in range(dim):
-            out[i, (i + 1) % dim] += rolled[i]
-            out[i, i] += -0.3 * np.sin(x[i])
+            out[..., i, (i + 1) % dim] += rolled[..., i]
+            out[..., i, i] += -0.3 * sin_x[..., i]
         return out
 
-    zero_v = np.zeros((dim, dim))
     return VectorFieldSet(
         dim_state=dim,
         dim_noise=dim,
         v0=v0,
-        v=lambda x: zero_v,
-        first_derivatives=lambda x: np.zeros((dim, dim, dim)),
-        second_derivatives=lambda x: np.zeros((dim, dim, dim, dim)),
+        v=lambda x: _zeros(x, dim, dim),
+        first_derivatives=lambda x: _zeros(x, dim, dim, dim),
+        second_derivatives=lambda x: _zeros(x, dim, dim, dim, dim),
         drift_derivatives=dv0,
         name="drift_only",
     )

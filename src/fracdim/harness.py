@@ -9,8 +9,11 @@ unknown or wrongly typed key, and ``run`` rejects settings a requested task
 cannot use (``spec.check_task``) before any member is solved.
 ``_member_map`` runs the members of every task but density and bivariate, and
 aborts once more than 1% fail (``MEMBER_FAILURE_RATE``, not configurable).
-Member seeds are base_seed + index, so parallel execution order can never
-change a result.
+It sends one contiguous block of members to each of the ``jobs`` workers; a
+block is solved in one time loop (``config.solve_block``) and each member's
+solution then goes to the task's per-member worker.  Member seeds are
+base_seed + index, and a member's solution does not depend on the block it is
+solved in, so parallel execution order can never change a result.
 """
 from __future__ import annotations
 
@@ -25,7 +28,8 @@ import scipy
 from scipy import stats as sps
 
 from . import __version__, density as dl, dimension as dm
-from .config import ALL_TASKS, ExperimentSpec, generate_driver, member_seed, solve_member
+from .config import ALL_TASKS, ExperimentSpec, generate_driver, member_seed, solve_block
+from .config import solve_member  # noqa: F401  bound for the benchmark's tracer (bench/spans.py)
 from .fbm import write_path
 from .fields import resolve_fields
 from .solver import check_ellipticity
@@ -86,34 +90,43 @@ class RunReport:
         }
 
 
-def _run_block(worker, spec: ExperimentSpec, indices, args):
-    """``worker`` over each member of one block: ({index: result}, {seed: error})."""
+def _run_block(worker, spec: ExperimentSpec, indices, args, fields=None):
+    """``worker`` over each member of one block: ({index: result}, {seed: error}).
+
+    The worker is called as ``worker(spec, index, *args)``; with ``fields`` the
+    block is first solved under that field set and it is called as
+    ``worker(spec, index, solution, *args)``.
+    """
     results, failures = {}, {}
-    for i in indices:
+    members = ((i, None) for i in indices) if fields is None else solve_block(spec, indices, fields)
+    for i, sol in members:
         try:
-            results[i] = worker(spec, i, *args)
+            if isinstance(sol, Exception):
+                raise sol
+            results[i] = worker(spec, i, *args) if fields is None else worker(spec, i, sol, *args)
         except Exception as exc:  # tallied, aborts only past the rate cap
             failures[member_seed(spec, i)] = f"{type(exc).__name__}: {exc}"
     return results, failures
 
 
-def _member_map(worker, spec: ExperimentSpec, indices, jobs: int, *args):
-    """Failure-tallied map of a member worker over the ensemble.
+def _member_map(worker, spec: ExperimentSpec, indices, jobs: int, *args, fields=None):
+    """Failure-tallied map of a member worker over the ensemble (see ``_run_block``).
 
-    At ``jobs > 1`` the pool runs min(members, 4 * jobs) contiguous blocks.
-    Returns ({member index: result}, {member seed: error}), both in index order.
+    At ``jobs > 1`` the pool runs min(members, jobs) contiguous blocks, one per
+    worker process.  Returns ({member index: result}, {member seed: error}),
+    both in index order.
     """
     indices = list(indices)
     if jobs <= 1:
-        results, failures = _run_block(worker, spec, indices, args)
+        results, failures = _run_block(worker, spec, indices, args, fields)
     else:
-        n_blocks = min(len(indices), 4 * jobs)
+        n_blocks = min(len(indices), jobs)
         q, r = divmod(len(indices), n_blocks)  # the first r blocks take one member more
         bounds = [j * q + min(j, r) for j in range(n_blocks + 1)]
         blocks = [indices[a:b] for a, b in zip(bounds, bounds[1:])]
         results, failures = {}, {}
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_block, worker, spec, b, args) for b in blocks]
+            futures = [pool.submit(_run_block, worker, spec, b, args, fields) for b in blocks]
             for block, fut in zip(blocks, futures):
                 try:
                     block_results, block_failures = fut.result()
@@ -130,40 +143,42 @@ def _member_map(worker, spec: ExperimentSpec, indices, jobs: int, *args):
 
 # ----------------------------------------------------------- member workers
 
-def _write_worker(spec, k, dest_dir, fields_name=None):
-    """Write member k's driver, or its solution under ``fields_name``, as .frd."""
-    path = generate_driver(spec, k) if fields_name is None else solve_member(spec, k, fields_name)
+def _write_worker(spec, k, path, dest_dir):
+    """Write member k's path, its driver or its solution, as .frd."""
     dest = dest_dir / f"member_{k:06d}.frd"
     write_path(path, dest)
     return str(dest)
 
 
-def _dim_worker(spec, k, fields_name, octaves, kind):
+def _write_driver(spec, k, dest_dir):
+    return _write_worker(spec, k, generate_driver(spec, k), dest_dir)
+
+
+def _dim_worker(spec, k, sol, octaves, kind):
     to_cloud = dm.image_cloud if kind == "dim_image" else dm.graph_cloud
-    return dm._anchored_slope(to_cloud(solve_member(spec, k, fields_name)), octaves)
+    return dm._anchored_slope(to_cloud(sol), octaves)
 
 
-def _levelset_worker(spec, k, fields_name, restrict):
-    sol = solve_member(spec, k, fields_name).restrict(*restrict)
+def _levelset_worker(spec, k, sol, restrict):
+    sol = sol.restrict(*restrict)
     eta = dm.tube_floor(sol)
     level = np.zeros(spec.dim)  # the start point of the pinned system
     ls = dm.extract_level_set(sol, level, eta)
     return ls.times, eta
 
 
-def _hit_worker(spec, k, fields_name, restrict):
+def _hit_worker(spec, k, sol, restrict):
     """The member's closest approach to the level, and its tube floor."""
-    sol = solve_member(spec, k, fields_name).restrict(*restrict)
+    sol = sol.restrict(*restrict)
     dist = np.sqrt((sol.values**2).sum(axis=1))
     return dist.min(), dm.tube_floor(sol)
 
 
-def _energy_worker(spec, k, fields_name, gammas, factors):
-    return dm.energy_ladder(solve_member(spec, k, fields_name), gammas, factors)
+def _energy_worker(spec, k, sol, gammas, factors):
+    return dm.energy_ladder(sol, gammas, factors)
 
 
-def _mu_worker(spec, k, fields_name, gamma, sharpness, restrict):
-    sol = solve_member(spec, k, fields_name)
+def _mu_worker(spec, k, sol, gamma, sharpness, restrict):
     level = np.zeros(spec.dim)
     return [dm.mu_measure(sol, level, n, gamma, restrict) for n in sharpness]
 
@@ -173,7 +188,7 @@ def _mu_worker(spec, k, fields_name, gamma, sharpness, restrict):
 def _task_generate(spec, jobs, out_dir, results, verdicts, rows):
     path_dir = out_dir / "paths"
     path_dir.mkdir(parents=True, exist_ok=True)
-    files, failures = _member_map(_write_worker, spec, range(spec.ensemble), jobs, path_dir)
+    files, failures = _member_map(_write_driver, spec, range(spec.ensemble), jobs, path_dir)
     results["generate"] = {"files": list(files.values()), "failures": failures}
 
 
@@ -183,7 +198,7 @@ def _task_solve(spec, jobs, out_dir, results, verdicts, rows):
         sol_dir = out_dir / f"solutions_{fname}"
         sol_dir.mkdir(parents=True, exist_ok=True)
         files, failures = _member_map(
-            _write_worker, spec, range(spec.ensemble), jobs, sol_dir, fname
+            _write_worker, spec, range(spec.ensemble), jobs, sol_dir, fields=fname
         )
         fs = resolve_fields(fname, spec.dim)
         rep = None
@@ -207,7 +222,7 @@ def _dim_task(kind, spec, jobs, out_dir, results, verdicts, rows):
     info = {}
     for fname in spec.fields:
         pairs, failures = _member_map(
-            _dim_worker, spec, range(spec.ensemble), jobs, fname, p["octaves"], kind
+            _dim_worker, spec, range(spec.ensemble), jobs, p["octaves"], kind, fields=fname
         )
         slopes = [s for s, _ in pairs.values()]
         med = float(np.median(slopes))
@@ -237,7 +252,7 @@ def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
     if dh < 1.0:
         target = 1.0 - dh
         out, failures = _member_map(
-            _levelset_worker, spec, range(spec.ensemble), jobs, fname, restrict
+            _levelset_worker, spec, range(spec.ensemble), jobs, restrict, fields=fname
         )
         slopes = []
         hits = 0
@@ -280,7 +295,7 @@ def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
                                "failures": failures}
     else:
         out, failures = _member_map(
-            _hit_worker, spec, range(spec.ensemble), jobs, fname, restrict
+            _hit_worker, spec, range(spec.ensemble), jobs, restrict, fields=fname
         )
         eta0 = 8.0 * next(iter(out.values()))[1]  # the lowest-index survivor's tube floor
         etas = [eta0 / 2**j for j in range(p["halvings"])]
@@ -298,8 +313,7 @@ def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
                                "failures": failures}
 
 
-def _sup_worker(spec, k, fields_name, restricts):
-    sol = solve_member(spec, k, fields_name)
+def _sup_worker(spec, k, sol, restricts):
     return [dl.sup_increment(sol.restrict(*r).values) for r in restricts]
 
 
@@ -315,7 +329,8 @@ def _task_tail(spec, jobs, out_dir, results, verdicts, rows):
     halvings = p["halvings"]
     widths = [(interval[1] - interval[0]) / 2**j for j in range(halvings)]
     restricts = [(interval[0], interval[0] + w) for w in widths]
-    out, failures = _member_map(_sup_worker, spec, range(spec.ensemble), jobs, fname, restricts)
+    out, failures = _member_map(_sup_worker, spec, range(spec.ensemble), jobs, restricts,
+                                fields=fname)
     sups = np.array(list(out.values()))  # (m, halvings)
 
     curve = dl.tail_curve(sups[:, 0], interval, ensemble=spec.ensemble)
@@ -490,7 +505,7 @@ def _task_energy(spec, jobs, out_dir, results, verdicts, rows):
     stable_cap = p["energy_stable_growth"]
     grow_last, grow_total = p["energy_grow_last"], p["energy_grow_total"]
     out, failures = _member_map(
-        _energy_worker, spec, range(spec.ensemble), jobs, fname, gammas, factors
+        _energy_worker, spec, range(spec.ensemble), jobs, gammas, factors, fields=fname
     )
     info = {}
     for i, (label, gamma) in enumerate(zip(("below", "above"), gammas)):
@@ -546,7 +561,7 @@ def _task_mu(spec, jobs, out_dir, results, verdicts, rows):
     restrict = (p["t_lo"], spec.t_range[1])
     mass_floor, final_cap = p["mu_mass_floor"], p["mu_final_growth"]
     out, failures = _member_map(
-        _mu_worker, spec, range(spec.ensemble), jobs, fname, gamma, sharpness, restrict
+        _mu_worker, spec, range(spec.ensemble), jobs, gamma, sharpness, restrict, fields=fname
     )
     arr = np.array(list(out.values()))  # (m, len(sharpness), 2)
     mass_means = arr[:, :, 0].mean(axis=0)

@@ -6,6 +6,7 @@ sampled path and its Chen coarsening onto coarser grids.  Depth is capped at
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,9 @@ class SignaturePath:
     """Per-interval truncated signatures of a piecewise-linear path.
 
     ``levels[m-1]`` stacks the level-m tensors of all intervals with shape
-    (n_intervals, dim, ..., dim).  Chen-consistency across adjacent intervals
-    holds by construction.
+    (n_intervals, dim, ..., dim).  The lift of a block of paths on one grid
+    puts a leading member axis before it: (members, n_intervals, dim, ..., dim).
+    Chen-consistency across adjacent intervals holds by construction.
     """
 
     grid: TimeGrid
@@ -70,16 +72,23 @@ class SignaturePath:
 
     def __post_init__(self) -> None:
         n = self.grid.n_points - 1
+        lead = self.levels[0].shape[:-2]
         for m, lv in enumerate(self.levels, start=1):
-            if lv.shape != (n,) + (self.dim,) * m:
+            if len(lead) > 1 or lv.shape != lead + (n,) + (self.dim,) * m:
                 raise ValueError(f"level {m} array has wrong shape {lv.shape}")
 
     @property
     def n_intervals(self) -> int:
         return self.grid.n_points - 1
 
+    @property
+    def members(self) -> int | None:
+        """Paths in a stacked lift; None for the lift of one path."""
+        return self.levels[0].shape[0] if self.levels[0].ndim == 3 else None
+
     def increment(self, k: int) -> TruncatedTensor:
         """Signature of the k-th grid interval."""
+        self._require_one_path()
         return TruncatedTensor(
             self.dim,
             self.depth,
@@ -88,10 +97,15 @@ class SignaturePath:
 
     def combined(self, i: int, j: int) -> TruncatedTensor:
         """Signature over [t_i, t_j], in closed form from the running signatures."""
+        self._require_one_path()
         if not 0 <= i < j <= self.n_intervals:
             raise ValueError("need 0 <= i < j <= n_intervals")
         levels = _between(_cumulative(self), i, j)
         return TruncatedTensor(self.dim, self.depth, (np.array(1.0), *levels))
+
+    def _require_one_path(self) -> None:
+        if self.members is not None:
+            raise ValueError("interval signatures are read from the lift of one path")
 
 
 def segment_signature(increment: np.ndarray, depth: int) -> TruncatedTensor:
@@ -127,30 +141,45 @@ def required_depth(h: HurstParam | float) -> int:
     return 2 if H > 1.0 / 3.0 else 3
 
 
-def lift_path(path: SamplePath, depth: int) -> SignaturePath:
+def lift_path(path: SamplePath | Sequence[SamplePath], depth: int) -> SignaturePath:
     """Per-interval signatures of the sampled path, read as piecewise linear.
 
+    A sequence of paths on one grid is lifted at once into stacked levels with
+    a leading member axis; member j's levels equal the lift of path j alone.
     For a path tagged with a Hurst index the depth must be at least the lift
     requirement (2 for H > 1/3, 3 for 1/4 < H <= 1/3).
     """
+    paths = [path] if isinstance(path, SamplePath) else list(path)
+    first = paths[0]
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be 1..{MAX_DEPTH}")
-    if path.hurst is not None and depth < required_depth(path.hurst):
+    if first.hurst is not None and depth < required_depth(first.hurst):
         raise ValueError(
-            f"depth {depth} inconsistent with declared hurst {path.hurst.value}"
-            f" (needs >= {required_depth(path.hurst)})"
+            f"depth {depth} inconsistent with declared hurst {first.hurst.value}"
+            f" (needs >= {required_depth(first.hurst)})"
         )
-    delta = np.diff(path.values, axis=0)
+    # component-major storage, as np.diff leaves a sampler's path, keeps the
+    # products below on long contiguous runs
+    n, d = first.grid.n_points - 1, first.dim
+    delta = np.empty((d, len(paths), n)).transpose(1, 2, 0)
+    for out, p in zip(delta, paths):
+        if (p.grid, p.dim, p.hurst) != (first.grid, first.dim, first.hurst):
+            raise ValueError("stacked paths must share grid, dimension and Hurst index")
+        np.subtract(p.values[1:], p.values[:-1], out=out)
+    flat = delta.reshape(-1, d)  # members and intervals on one axis, still a view
     levels = [delta]
     if depth >= 2:
-        levels.append(0.5 * np.einsum("ki,kj->kij", delta, delta))
+        levels.append(0.5 * np.einsum("ki,kj->kij", flat, flat).reshape(delta.shape + (d,)))
     if depth >= 3:
-        levels.append(np.einsum("ki,kj,kl->kijl", delta, delta, delta) / 6.0)
-    return SignaturePath(path.grid, path.dim, depth, tuple(levels), hurst=path.hurst)
+        cube = np.einsum("ki,kj,kl->kijl", flat, flat, flat) / 6.0
+        levels.append(cube.reshape(delta.shape + (d, d)))
+    if isinstance(path, SamplePath):
+        levels = [lv[0] for lv in levels]
+    return SignaturePath(first.grid, first.dim, depth, tuple(levels), hurst=first.hurst)
 
 
 def coarsen(sig: SignaturePath, factor: int) -> SignaturePath:
-    """Chen-combine consecutive intervals in blocks of ``factor``."""
+    """Chen-combine consecutive intervals in blocks of ``factor`` (of each member of a stack)."""
     n = sig.n_intervals
     if factor < 1 or n % factor:
         raise ValueError("factor must divide the interval count")
@@ -158,24 +187,25 @@ def coarsen(sig: SignaturePath, factor: int) -> SignaturePath:
         return sig
     nb = n // factor
     d = sig.dim
-    b1 = sig.levels[0].reshape(nb, factor, d)
-    g1 = np.zeros((nb, d))
-    g2 = np.zeros((nb, d, d)) if sig.depth >= 2 else None
-    g3 = np.zeros((nb, d, d, d)) if sig.depth >= 3 else None
+    lead = sig.levels[0].shape[:-2]
+    b1 = sig.levels[0].reshape(lead + (nb, factor, d))
+    g1 = np.zeros(lead + (nb, d))
+    g2 = np.zeros(lead + (nb, d, d)) if sig.depth >= 2 else None
+    g3 = np.zeros(lead + (nb, d, d, d)) if sig.depth >= 3 else None
     if sig.depth >= 2:
-        b2 = sig.levels[1].reshape(nb, factor, d, d)
+        b2 = sig.levels[1].reshape(lead + (nb, factor, d, d))
     if sig.depth >= 3:
-        b3 = sig.levels[2].reshape(nb, factor, d, d, d)
+        b3 = sig.levels[2].reshape(lead + (nb, factor, d, d, d))
     for r in range(factor):
-        a1 = b1[:, r]
+        a1 = b1[..., r, :]
         if sig.depth >= 3:
             g3 += (
-                b3[:, r]
-                + np.einsum("bi,bjk->bijk", g1, b2[:, r])
-                + np.einsum("bij,bk->bijk", g2, a1)
+                b3[..., r, :, :, :]
+                + np.einsum("...i,...jk->...ijk", g1, b2[..., r, :, :])
+                + np.einsum("...ij,...k->...ijk", g2, a1)
             )
         if sig.depth >= 2:
-            g2 += b2[:, r] + np.einsum("bi,bj->bij", g1, a1)
+            g2 += b2[..., r, :, :] + np.einsum("...i,...j->...ij", g1, a1)
         g1 += a1
     grid = TimeGrid(nb + 1, sig.grid.t_start, sig.grid.t_end)
     levels = [g1] + ([g2] if g2 is not None else []) + ([g3] if g3 is not None else [])

@@ -91,26 +91,69 @@ def check_ellipticity(
 
 def _validate_shapes(fields: VectorFieldSet, x0: np.ndarray, depth: int) -> None:
     n, d = fields.dim_state, fields.dim_noise
-    if x0.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},)")
-    if fields.v0(x0).shape != (n,):
-        raise ValueError("v0 must return shape (n,)")
-    if fields.v(x0).shape != (n, d):
-        raise ValueError("v must return shape (n, d)")
-    if fields.first_derivatives(x0).shape != (n, n, d):
-        raise ValueError("first derivatives must have shape (n, n, d)")
-    if depth >= 3 and fields.second_derivatives(x0).shape != (n, n, n, d):
-        raise ValueError("second derivatives must have shape (n, n, n, d)")
+    lead = x0.shape[:-1]
+    if x0.shape[-1:] != (n,) or len(lead) > 1:
+        raise ValueError(f"x0 must have shape ({n},), or (members, {n}) for a stacked driver")
+    if fields.v0(x0).shape != lead + (n,):
+        raise ValueError("v0 must return shape (..., n)")
+    if fields.v(x0).shape != lead + (n, d):
+        raise ValueError("v must return shape (..., n, d)")
+    if fields.first_derivatives(x0).shape != lead + (n, n, d):
+        raise ValueError("first derivatives must have shape (..., n, n, d)")
+    if depth >= 3 and fields.second_derivatives(x0).shape != lead + (n, n, n, d):
+        raise ValueError("second derivatives must have shape (..., n, n, n, d)")
 
 
 def _constant_field_path(
     fields: VectorFieldSet, x0: np.ndarray, path: np.ndarray, grid: TimeGrid
 ) -> np.ndarray:
-    """Exact solution for state-independent fields: x0 + path V^T + (t - t0) V0."""
-    out = x0[None, :] + path @ fields.v(x0).T
+    """Exact solution for state-independent fields: x0 + path V^T + (t - t0) V0.
+
+    ``x0`` of shape (..., n) takes ``path`` of shape (..., n_points, d).
+    """
+    out = x0[..., None, :] + path @ fields.v(x0).swapaxes(-1, -2)
     v0 = fields.v0(x0)
     if np.any(v0):
-        out = out + np.outer(grid.points - grid.t_start, v0)
+        out = out + (grid.points - grid.t_start)[:, None] * v0[..., None, :]
+    return out
+
+
+def _steps(
+    fields: VectorFieldSet, x0: np.ndarray, levels: tuple[np.ndarray, ...], dt: float
+) -> np.ndarray:
+    """States (members, n_steps + 1, n) of the members, advanced together in one time loop.
+
+    The contractions are batched matrix products, one small product per member,
+    so a member's states do not depend on the block it is solved in.  A member
+    whose state passes the overflow guard goes on, possibly as inf or NaN;
+    ``solve`` finds its step afterwards.
+    """
+    b1, b2 = levels[0], levels[1]
+    b3 = levels[2] if len(levels) >= 3 else None
+    m, n_steps, d = b1.shape
+    n = fields.dim_state
+    out = np.empty((m, n_steps + 1, n))
+    out[:, 0] = x0
+    x = x0
+    half_dt2 = 0.5 * dt * dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            v0x = fields.v0(x)
+            vx = fields.v(x)
+            dvx = fields.first_derivatives(x).reshape(m, n, n * d)
+            dx = (v0x * dt + (fields.drift_derivatives(x) @ v0x[..., None])[..., 0] * half_dt2
+                  + (vx @ b1[:, k, :, None])[..., 0])
+            c = vx @ b2[:, k]
+            dx += (dvx @ c.reshape(m, n * d, 1))[..., 0]
+            if b3 is not None:
+                d2vx = fields.second_derivatives(x).reshape(m, n, n * n * d)
+                t1 = (vx @ b3[:, k].reshape(m, d, d * d)).reshape(m, n, d, d)
+                inner = dvx @ t1.reshape(m, n * d, d)
+                dx += (dvx @ inner.reshape(m, n * d, 1))[..., 0]
+                u = np.einsum("...lb,...mbc->...mlc", vx, t1)
+                dx += (d2vx @ u.reshape(m, n * n * d, 1))[..., 0]
+            x = x + dx
+            out[:, k + 1] = x
     return out
 
 
@@ -119,14 +162,20 @@ def solve(
     x0: np.ndarray,
     driver: SignaturePath,
     scheme: SolverScheme,
-) -> SamplePath:
+) -> SamplePath | list[SamplePath | SolverError]:
     """One state per grid point of the driver.
 
     The step-2 update contracts level-1/level-2 driver increments against V
     and its first derivatives (plus the drift Taylor pair V0 dt and
     DV0 V0 dt^2/2); step-3 adds level-3 contractions with second derivatives.
-    Deterministic given its inputs; aborts with the step index if the state
-    passes the overflow guard or turns NaN.
+    Deterministic given its inputs; raises SolverError with the step index if
+    the state passes the overflow guard or turns NaN.
+
+    A stacked driver (``driver.members`` paths) takes starts ``x0`` of shape
+    (members, n) and is solved in one time loop.  It returns one entry per
+    member: its solution, or the SolverError that names the step where its
+    state failed the guard.  Member j's solution equals the solve of member j
+    alone, bit for bit.
     """
     x0 = np.asarray(x0, dtype=float)
     if driver.dim != fields.dim_noise:
@@ -138,38 +187,26 @@ def solve(
     if driver.hurst is not None:
         scheme_for(driver.hurst, scheme.kind)
     _validate_shapes(fields, x0, scheme.depth)
+    stacked = driver.members is not None
+    if x0.shape[:-1] != ((driver.members,) if stacked else ()):
+        raise ValueError("x0 needs one start per member of the driver")
+    starts = x0 if stacked else x0[None]
+    levels = tuple(lv if stacked else lv[None] for lv in driver.levels[:scheme.depth])
 
     grid = driver.grid
-    b1 = driver.levels[0]
     if fields.constant:
         # state-independent fields: derivative contractions vanish identically
-        path = np.concatenate([np.zeros((1, driver.dim)), np.cumsum(b1, axis=0)], axis=0)
-        return SamplePath(grid, _constant_field_path(fields, x0, path, grid), hurst=driver.hurst)
-
-    b2 = driver.levels[1] if scheme.depth >= 2 else None
-    b3 = driver.levels[2] if scheme.depth >= 3 else None
-    n_steps = driver.n_intervals
-    out = np.empty((n_steps + 1, fields.dim_state))
-    out[0] = x0
-    x = x0
-    dt = grid.spacing
-    half_dt2 = 0.5 * dt * dt
-    for k in range(n_steps):
-        v0x = fields.v0(x)
-        vx = fields.v(x)
-        dvx = fields.first_derivatives(x)
-        dx = v0x * dt + fields.drift_derivatives(x) @ v0x * half_dt2 + vx @ b1[k]
-        c = vx @ b2[k]
-        dx += np.tensordot(dvx, c, 2)
-        if b3 is not None:
-            d2vx = fields.second_derivatives(x)
-            t1 = np.tensordot(vx, b3[k], axes=(1, 0))
-            inner = np.tensordot(dvx, t1, axes=([1, 2], [0, 1]))
-            dx += np.tensordot(dvx, inner, 2)
-            u = np.einsum("lb,mbc->mlc", vx, t1)
-            dx += np.tensordot(d2vx, u, 3)
-        x = x + dx
-        if not (np.abs(x).max() <= OVERFLOW_GUARD):  # also catches NaN
-            raise SolverError(f"state overflow at step {k + 1}")
-        out[k + 1] = x
-    return SamplePath(grid, out, hurst=driver.hurst)
+        path = np.zeros(levels[0].shape[:1] + (grid.n_points, driver.dim))
+        np.cumsum(levels[0], axis=1, out=path[:, 1:])
+        states = _constant_field_path(fields, starts, path, grid)
+    else:
+        states = _steps(fields, starts, levels, grid.spacing)
+    # the guard, also against NaN: a member fails at its first bad step
+    bad = ~(np.abs(states[:, 1:]) <= OVERFLOW_GUARD).all(axis=2)
+    out = [SolverError(f"state overflow at step {int(np.argmax(row)) + 1}") if row.any()
+           else SamplePath(grid, values, hurst=driver.hurst) for values, row in zip(states, bad)]
+    if stacked:
+        return out
+    if isinstance(out[0], SolverError):
+        raise out[0]
+    return out[0]

@@ -164,7 +164,11 @@ def test_bad_section_key_rejected(task, key, value):
         ("mu", "t_lo", "t_lo = 1.0", ""),
         ("levelset", "t_lo", "t_lo = 0.9\nt_hi = 0.5", ""),
         ("levelset", "t_lo", "t_lo = 0.5\nt_hi = 0.5", ""),
+        ("levelset", "t_lo", "t_lo = 0.2", "n_points = 64\nt_start = 0.5\n"),
+        ("levelset", "t_hi", "t_hi = 1.5", ""),
         ("tail", "s", "s = 0.8\nt = 0.5", ""),
+        ("tail", "s", "s = 0.1", "n_points = 64\nt_start = 0.5\n"),
+        ("tail", "t", "t = 1.5", ""),
         ("density", "s", "s = 0.8\nt = 0.5", ""),
         ("density", "s", "s = 0.05", ""),
         ("density", "t", "t = 1.5", ""),
@@ -182,12 +186,12 @@ def test_unusable_task_setting_rejected(task, key, section, top):
 
 
 def test_unusable_setting_of_a_requested_task_fails_before_any_solve(tmp_path, monkeypatch):
-    from fracdim import harness
+    from fracdim import config, harness
 
     def no_solve(*args):
         raise AssertionError("a member was solved")
 
-    monkeypatch.setattr(harness, "solve_member", no_solve)
+    monkeypatch.setattr(config, "generate_driver", no_solve)
     spec = parse_spec(f"name = x\nhurst = 0.5\noutput_dir = {tmp_path}\n[mu]\nsharpness = 4\n")
     with pytest.raises(ConfigError, match=r"\[mu\] sharpness"):
         harness.run(spec, tasks=("mu",))

@@ -314,16 +314,16 @@ def _failure_maps(node):
      ("energy", 64, 100), ("mu", 256, 100), ("solve", 256, 100)],
 )
 def test_member_failure_is_reported_under_its_seed(tmp_path, monkeypatch, task, n_points, ensemble):
-    from fracdim import harness
+    from fracdim import config
 
-    real = harness.solve_member
+    real = config.generate_driver
 
-    def member_1_fails(spec, k, *args):
+    def member_1_fails(spec, k):
         if k == 1:
             raise ValueError("boom")
-        return real(spec, k, *args)
+        return real(spec, k)
 
-    monkeypatch.setattr(harness, "solve_member", member_1_fails)
+    monkeypatch.setattr(config, "generate_driver", member_1_fails)
     spec = small_spec(tmp_path, n_points=n_points, ensemble=ensemble, base_seed=500)
     report = run(spec, tasks=(task,), jobs=1)
     maps = list(_failure_maps(report.results))
@@ -338,23 +338,54 @@ def test_member_failure_is_reported_under_its_seed(tmp_path, monkeypatch, task, 
         assert seeds  # some members hit the level
 
 
+def test_member_failing_the_guard_in_its_block_fails_alone(tmp_path, monkeypatch):
+    # member 1's driver jumps by 1e13 at step 40, so its state passes the
+    # overflow guard there, inside a block with the 99 other members
+    from fracdim import config
+    from fracdim.fbm import SamplePath, read_path
+    from fracdim.solver import SolverError
+
+    real = config.generate_driver
+
+    def jump_on_member_1(spec, k):
+        driver = real(spec, k)
+        if k != 1:
+            return driver
+        values = driver.values.copy()
+        values[40:] += 1e13
+        return SamplePath(driver.grid, values, hurst=driver.hurst, seed=driver.seed)
+
+    monkeypatch.setattr(config, "generate_driver", jump_on_member_1)
+    spec = small_spec(tmp_path, hurst=0.75, dim=2, n_points=64, ensemble=100, base_seed=500,
+                      fields=("elliptic_sin_2d",))
+    report = run(spec, tasks=("solve",), jobs=1)
+    info = report.results["solve"]["elliptic_sin_2d"]
+    assert info["failures"] == {501: "SolverError: state overflow at step 40"}
+    with pytest.raises(SolverError, match="step 40"):
+        config.solve_member(spec, 1)
+    files = sorted((tmp_path / "small" / "solutions_elliptic_sin_2d").iterdir())
+    assert len(files) == 99
+    for k in (0, 2, 99):
+        written = read_path(tmp_path / "small" / "solutions_elliptic_sin_2d" / f"member_{k:06d}.frd")
+        assert written.values.tobytes() == config.solve_member(spec, k).values.tobytes()
+
+
 def _count_solves(monkeypatch, failing=()):
-    """Count harness and density solve_member calls per member; members in ``failing`` raise."""
+    """Count the driver draws of every solve per member; members in ``failing`` raise."""
     from collections import Counter
 
-    from fracdim import density, harness
+    from fracdim import config
 
-    real = harness.solve_member
+    real = config.generate_driver
     calls = Counter()
 
-    def counted(spec, k, *args):
+    def counted(spec, k):
         calls[k] += 1
         if k in failing:
             raise ValueError("boom")
-        return real(spec, k, *args)
+        return real(spec, k)
 
-    monkeypatch.setattr(harness, "solve_member", counted)
-    monkeypatch.setattr(density, "solve_member", counted)
+    monkeypatch.setattr(config, "generate_driver", counted)
     return calls
 
 

@@ -10,6 +10,11 @@ from fracdim.fields import VectorFieldSet
 from fracdim.solver import SolverScheme
 
 
+def zeros(x, *shape):
+    """Zeros for the stacked states x of shape (..., n): (..., *shape)."""
+    return np.zeros(x.shape[:-1] + shape)
+
+
 def brownian_driver(n, d, seed, h=0.5, depth=2):
     path = fbm.generate_circulant(TimeGrid(n + 1, 0.0, 1.0), d, h, seed=seed)
     return path, rp.lift_path(path, depth)
@@ -33,11 +38,11 @@ def test_ellipticity_diagonal_constant():
     fs = VectorFieldSet(
         dim_state=2,
         dim_noise=2,
-        v0=lambda x: np.zeros(2),
-        v=lambda x: diag,
-        first_derivatives=lambda x: np.zeros((2, 2, 2)),
-        second_derivatives=lambda x: np.zeros((2, 2, 2, 2)),
-        drift_derivatives=lambda x: np.zeros((2, 2)),
+        v0=lambda x: zeros(x, 2),
+        v=lambda x: zeros(x, 2, 2) + diag,
+        first_derivatives=lambda x: zeros(x, 2, 2, 2),
+        second_derivatives=lambda x: zeros(x, 2, 2, 2, 2),
+        drift_derivatives=lambda x: zeros(x, 2, 2),
         constant=True,
     )
     rep = solver.check_ellipticity(fs, 0.2, [np.zeros(2)])
@@ -63,11 +68,11 @@ def test_ellipticity_rejects_nonsquare():
     fs = VectorFieldSet(
         dim_state=2,
         dim_noise=1,
-        v0=lambda x: np.zeros(2),
-        v=lambda x: np.ones((2, 1)),
-        first_derivatives=lambda x: np.zeros((2, 2, 1)),
-        second_derivatives=lambda x: np.zeros((2, 2, 2, 1)),
-        drift_derivatives=lambda x: np.zeros((2, 2)),
+        v0=lambda x: zeros(x, 2),
+        v=lambda x: zeros(x, 2, 1) + 1.0,
+        first_derivatives=lambda x: zeros(x, 2, 2, 1),
+        second_derivatives=lambda x: zeros(x, 2, 2, 2, 1),
+        drift_derivatives=lambda x: zeros(x, 2, 2),
     )
     with pytest.raises(ValueError, match="square"):
         solver.check_ellipticity(fs, 0.1, [np.zeros(2)])
@@ -148,11 +153,11 @@ def test_solve_overflow_guard_reports_step():
     blow = VectorFieldSet(
         dim_state=1,
         dim_noise=1,
-        v0=lambda x: np.array([x[0] ** 2]),
-        v=lambda x: np.zeros((1, 1)),
-        first_derivatives=lambda x: np.zeros((1, 1, 1)),
-        second_derivatives=lambda x: np.zeros((1, 1, 1, 1)),
-        drift_derivatives=lambda x: np.array([[2 * x[0]]]),
+        v0=lambda x: x**2,
+        v=lambda x: zeros(x, 1, 1),
+        first_derivatives=lambda x: zeros(x, 1, 1, 1),
+        second_derivatives=lambda x: zeros(x, 1, 1, 1, 1),
+        drift_derivatives=lambda x: 2 * x[..., None],
     )
     flat = SamplePath(TimeGrid(129, 0.0, 1.0), np.zeros((129, 1)))
     sig = rp.lift_path(flat, 2)
@@ -166,16 +171,44 @@ def test_solve_nan_state_reports_step():
     nan_past_half = VectorFieldSet(
         dim_state=1,
         dim_noise=1,
-        v0=lambda x: np.array([np.nan if x[0] > 0.5 else 1.0]),
-        v=lambda x: np.zeros((1, 1)),
-        first_derivatives=lambda x: np.zeros((1, 1, 1)),
-        second_derivatives=lambda x: np.zeros((1, 1, 1, 1)),
-        drift_derivatives=lambda x: np.zeros((1, 1)),
+        v0=lambda x: np.where(x > 0.5, np.nan, 1.0),
+        v=lambda x: zeros(x, 1, 1),
+        first_derivatives=lambda x: zeros(x, 1, 1, 1),
+        second_derivatives=lambda x: zeros(x, 1, 1, 1, 1),
+        drift_derivatives=lambda x: zeros(x, 1, 1),
     )
     flat = SamplePath(TimeGrid(129, 0.0, 1.0), np.zeros((129, 1)))
     sig = rp.lift_path(flat, 2)
     with pytest.raises(solver.SolverError, match="step 66"):
         solver.solve(nan_past_half, np.zeros(1), sig, SolverScheme("step2_davie"))
+
+
+@pytest.mark.parametrize(
+    "name, h, dim, factor",
+    [
+        ("elliptic_sin_2d", 0.75, 2, 1),  # step 2
+        ("elliptic_sin_2d", 0.3, 2, 4),  # step 3, coarsened: levels 2 and 3 carry area
+        ("drift_only", 0.5, 2, 1),  # nonzero drift
+        ("geometric_1d", 0.5, 1, 4),  # Chen-coarsened levels
+    ],
+)
+def test_member_solution_does_not_depend_on_its_block(name, h, dim, factor):
+    fs = fields.resolve_fields(name, dim)
+    scheme = solver.scheme_for(h)
+    m = 8
+    paths = [fbm.generate_circulant(TimeGrid(257, 0.0, 1.0), dim, h, seed=30 + j) for j in range(m)]
+    starts = np.linspace(0.1, 0.8, m * dim).reshape(m, dim)
+
+    def block(members):
+        sig = rp.coarsen(rp.lift_path([paths[j] for j in members], scheme.depth), factor)
+        return solver.solve(fs, starts[members], sig, scheme)
+
+    whole = block(list(range(m)))
+    for k in range(m):
+        alone = solver.solve(fs, starts[k], rp.coarsen(rp.lift_path(paths[k], scheme.depth), factor),
+                             scheme).values
+        for sol in (block([k])[0], block([(k - 1) % m, k, (k + 1) % m])[1], whole[k]):
+            assert sol.values.tobytes() == alone.tobytes()
 
 
 def test_bounded_fields_sup_has_gaussian_type_tail():
