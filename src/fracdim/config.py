@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numbers
 import os
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -92,9 +92,11 @@ _TASK_RULES: dict[str, tuple] = {
     "mu": (
         ("sharpness", lambda p, spec: _increasing_positive(p["sharpness"]),
          "at least 2 strictly increasing positive values"),
-        ("t_lo", lambda p, spec: 0 < p["t_lo"] < spec.t_range[1], "a value in (0, t_end)"),
+        ("t_lo",
+         lambda p, spec: 0 < p["t_lo"] and spec.t_range[0] <= p["t_lo"] < spec.t_range[1],
+         "0 < t_lo and t_start <= t_lo < t_end"),
     ),
-    # the windows read each member on [t_lo, t_hi] and [s, t], inside the grid
+    # the windows read each member on [t_lo, t_end], [t_lo, t_hi] and [s, t], inside the grid
     "levelset": (
         ("t_lo", lambda p, spec: spec.t_range[0] <= p["t_lo"] < p["t_hi"], "t_start <= t_lo < t_hi"),
         ("t_hi", lambda p, spec: p["t_hi"] <= spec.t_range[1], "t_hi <= t_end"),
@@ -289,32 +291,55 @@ def member_seed(spec: ExperimentSpec, index: int) -> int:
     return spec.base_seed + index
 
 
-def generate_driver(spec: ExperimentSpec, index: int) -> SamplePath:
-    seed = member_seed(spec, index)
+def generate_driver(spec: ExperimentSpec, index: int | Sequence[int]) -> SamplePath | list:
+    """Member ``index``'s driver, or one driver per index of a sequence.
+
+    A sequence is drawn in one circulant call (Cholesky draws member by member);
+    each driver is bit-identical to its own draw.
+    """
+    one = isinstance(index, numbers.Integral)
+    seeds = [member_seed(spec, i) for i in ([index] if one else index)]
     if spec.generator == "cholesky":
-        return generate_cholesky(spec.grid, spec.dim, spec.hurst, seed)
-    return generate_circulant(spec.grid, spec.dim, spec.hurst, seed)
+        paths = [generate_cholesky(spec.grid, spec.dim, spec.hurst, s) for s in seeds]
+    else:
+        paths = generate_circulant(spec.grid, spec.dim, spec.hurst, seeds)
+    return paths[0] if one else paths
+
+
+def _draw_chunk(spec: ExperimentSpec, chunk: list[int]) -> list:
+    """Each member's driver, drawn together; if that draw raises, each member is
+    drawn alone, so a failing draw fails its member alone (as its exception)."""
+    try:
+        return generate_driver(spec, chunk)
+    except Exception:  # redrawn member by member below
+        pass
+    drivers = []
+    for i in chunk:
+        try:
+            drivers.append(generate_driver(spec, i))
+        except Exception as exc:  # this member fails; the block goes on
+            drivers.append(exc)
+    return drivers
 
 
 def _solve_chunk(spec: ExperimentSpec, fs: VectorFieldSet, chunk: list[int]) -> list:
     """Each member's seed-tagged solution, or the exception that failed it alone."""
-    out: dict[int, SamplePath | Exception] = {}
-    drivers = {}
-    for i in chunk:
-        try:
-            drivers[i] = generate_driver(spec, i)
-        except Exception as exc:  # this member fails; the block goes on
-            out[i] = exc
-    if fs.constant:
-        for i, driver in drivers.items():
-            values = _constant_field_path(fs, np.zeros(fs.dim_state), driver.values, driver.grid)
-            out[i] = SamplePath(driver.grid, values, hurst=driver.hurst, seed=driver.seed)
-    elif drivers:
+    out = dict(zip(chunk, _draw_chunk(spec, chunk)))
+    drawn = [i for i in chunk if not isinstance(out[i], Exception)]
+    if drawn and fs.constant:
+        # the exact path, stacked; the lift's cumulative sums would round differently.
+        # Popping the drivers lets their draws go once the stack holds them.
+        paths = np.stack([out.pop(i).values for i in drawn])
+        starts = np.zeros((len(drawn), fs.dim_state))
+        grid, hurst = spec.grid, HurstParam(spec.hurst)
+        for i, values in zip(drawn, _constant_field_path(fs, starts, paths, grid)):
+            out[i] = SamplePath(grid, values, hurst=hurst, seed=member_seed(spec, i))
+    elif drawn:
         scheme = SolverScheme(spec.scheme)
-        lifted = lift_path(list(drivers.values()), scheme.depth)
-        sols = solve(fs, np.zeros((len(drivers), fs.dim_state)), lifted, scheme)
-        for (i, driver), sol in zip(drivers.items(), sols):
-            out[i] = sol if isinstance(sol, Exception) else replace(sol, seed=driver.seed)
+        lifted = lift_path([out[i] for i in drawn], scheme.depth)
+        sols = solve(fs, np.zeros((len(drawn), fs.dim_state)), lifted, scheme)
+        for i, sol in zip(drawn, sols):
+            out[i] = sol if isinstance(sol, Exception) else replace(sol, seed=member_seed(spec, i))
     return [out[i] for i in chunk]
 
 
@@ -324,14 +349,14 @@ def solve_block(
     """Generate -> lift -> solve from 0 for each member, seed-tagged, in index order.
 
     Yields (index, solution), or (index, exception) for a member that failed
-    alone.  Non-constant fields lift and solve up to ``_BLOCK_STATES`` / grid
-    points members at a time, in one time loop; each member's solution is
-    bit-identical to its solve alone.  Constant field sets (identity) skip the
-    lift, which is exact for them, and go one member at a time.
+    alone.  Members go up to ``_BLOCK_STATES`` / grid points at a time: one
+    driver draw for the chunk, then one solve, in one time loop, or for
+    constant field sets (identity) one stacked exact path, which needs no lift.
+    Each member's solution is bit-identical to its solve alone.
     """
     fs = resolve_fields(fields_name or spec.fields[0], spec.dim)
     indices = list(indices)
-    size = 1 if fs.constant else max(1, _BLOCK_STATES // spec.grid.n_points)
+    size = max(1, _BLOCK_STATES // spec.grid.n_points)
     for a in range(0, len(indices), size):
         chunk = indices[a:a + size]
         yield from zip(chunk, _solve_chunk(spec, fs, chunk))

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .config import ExperimentSpec, solve_member
+from .config import ExperimentSpec, solve_block
+from .config import solve_member  # noqa: F401  bound for the benchmark's tracer (bench/spans.py)
 
 __all__ = [
     "DensityEstimate",
@@ -106,8 +107,10 @@ def _ensemble_samples_at(spec: ExperimentSpec, times: tuple[float, ...]) -> np.n
     grid = spec.grid
     idx = [int(round((t - grid.t_start) / grid.spacing)) for t in times]
     out = np.empty((spec.ensemble, len(times), spec.dim))
-    for k in range(spec.ensemble):
-        out[k] = solve_member(spec, k).values[idx]
+    for k, sol in solve_block(spec, range(spec.ensemble)):
+        if isinstance(sol, Exception):
+            raise sol
+        out[k] = sol.values[idx]
     return out
 
 

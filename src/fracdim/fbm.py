@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
@@ -41,6 +43,9 @@ TOL_PSD = 1e-10
 NEG_EIG_TOL = 1e-8
 _JITTER_ROUNDS = 3
 _JITTER_BASE = 1e-12
+#: most circulant embedding values (members x components x embedding size) one
+#: FFT of ``generate_circulant`` holds; a path of 2^16 steps or more is one FFT alone
+_GROUP_VALUES = 2**16
 
 PATH_MAGIC = b"FRD1"
 PATH_VERSION = 2
@@ -96,6 +101,14 @@ class TimeGrid:
         pts[-1] = self.t_end
         return pts
 
+    def window(self, t_lo: float, t_hi: float) -> slice:
+        """Index slice of the grid points inside [t_lo, t_hi], each end widened by 1e-12."""
+        pts = self.points
+        idx = np.nonzero((pts >= t_lo - 1e-12) & (pts <= t_hi + 1e-12))[0]
+        if idx.size < 2:
+            raise ValueError("restriction keeps fewer than two grid points")
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+
 
 @dataclass(frozen=True)
 class SamplePath:
@@ -127,14 +140,12 @@ class SamplePath:
         return self.values.shape[1]
 
     def restrict(self, t_lo: float, t_hi: float) -> "SamplePath":
-        """Contiguous sub-path with grid times inside [t_lo, t_hi]."""
+        """Contiguous sub-path with grid times inside [t_lo, t_hi] (``TimeGrid.window``)."""
+        window = self.grid.window(t_lo, t_hi)
         pts = self.grid.points
-        mask = (pts >= t_lo - 1e-12) & (pts <= t_hi + 1e-12)
-        idx = np.nonzero(mask)[0]
-        if idx.size < 2:
-            raise ValueError("restriction keeps fewer than two grid points")
-        sub = TimeGrid(idx.size, float(pts[idx[0]]), float(pts[idx[-1]]))
-        return SamplePath(sub, self.values[idx], hurst=self.hurst, seed=self.seed)
+        sub = TimeGrid(window.stop - window.start, float(pts[window.start]),
+                       float(pts[window.stop - 1]))
+        return SamplePath(sub, self.values[window], hurst=self.hurst, seed=self.seed)
 
     def decimate(self, factor: int) -> "SamplePath":
         """Keep every factor-th point; factor must divide the interval count."""
@@ -302,36 +313,51 @@ def _embedding_eigenvalues(H: float, m: int) -> np.ndarray:
 
 
 def generate_circulant(
-    grid: TimeGrid, d: int, h: HurstParam | float, seed: int
-) -> SamplePath:
+    grid: TimeGrid, d: int, h: HurstParam | float, seed: int | Sequence[int]
+) -> SamplePath | list[SamplePath]:
     """O(n log n) fBm sample via circulant embedding of the increment covariance.
 
     Distributionally equivalent to generate_cholesky; requires a grid starting
-    at zero so increments form stationary fractional Gaussian noise.
+    at zero so increments form stationary fractional Gaussian noise.  A
+    sequence of seeds gives one path per seed: each (seed, component) stream is
+    drawn as for that seed alone, and the draws of up to ``_GROUP_VALUES``
+    embedding values are transformed in one FFT, so each path is bit-identical
+    to its own call.
     """
     H = _hurst_value(h)
     if d < 1:
         raise ValueError("d must be >= 1")
     if grid.t_start != 0.0:
         raise ValueError("circulant synthesis requires a grid starting at 0")
+    seeds = [seed] if isinstance(seed, numbers.Integral) else list(seed)
     m = grid.n_points - 1
     lam = _embedding_eigenvalues(H, m)
     M = lam.size
     half = M // 2
-    draws = np.empty((d, M))
-    for j in range(d):
-        draws[j] = component_rng(seed, j).standard_normal(M)
-    z = np.empty((d, M), dtype=complex)
-    z[:, 0] = draws[:, 0]
-    z[:, half] = draws[:, 1]
-    u = draws[:, 2 : half + 1]
-    v = draws[:, half + 1 :]
-    z[:, 1:half] = (u + 1j * v) / math.sqrt(2.0)
-    z[:, half + 1 :] = np.conj(z[:, 1:half][:, ::-1])
-    spectral = np.fft.ifft(np.sqrt(lam) * z, axis=1) * math.sqrt(M)
-    inc = spectral.real[:, :m] * grid.spacing**H
-    values = np.concatenate([np.zeros((d, 1)), np.cumsum(inc, axis=1)], axis=1).T
-    return SamplePath(grid, values, hurst=HurstParam(H), seed=seed)
+    scale = np.sqrt(lam)
+    step = grid.spacing**H
+    size = max(1, _GROUP_VALUES // (d * M))
+    paths = []
+    for a in range(0, len(seeds), size):
+        group = seeds[a:a + size]
+        draws = np.empty((len(group), d, M))
+        for k, s in enumerate(group):
+            for j in range(d):
+                draws[k, j] = component_rng(s, j).standard_normal(M)
+        z = np.empty(draws.shape, dtype=complex)
+        z[..., 0] = draws[..., 0]
+        z[..., half] = draws[..., 1]
+        z[..., 1:half] = (draws[..., 2 : half + 1] + 1j * draws[..., half + 1 :]) / math.sqrt(2.0)
+        z[..., half + 1 :] = np.conj(z[..., 1:half][..., ::-1])
+        del draws
+        # in place where the arithmetic allows: one complex buffer besides the transform's
+        z *= scale
+        z = np.fft.ifft(z, axis=-1)
+        z *= math.sqrt(M)
+        values = np.zeros((len(group), d, m + 1))
+        np.cumsum(z.real[..., :m] * step, axis=-1, out=values[..., 1:])
+        paths += [SamplePath(grid, v.T, hurst=HurstParam(H), seed=s) for s, v in zip(group, values)]
+    return paths[0] if isinstance(seed, numbers.Integral) else paths
 
 
 def empirical_holder_exponent(path: SamplePath) -> float:

@@ -10,10 +10,12 @@ cannot use (``spec.check_task``) before any member is solved.
 ``_member_map`` runs the members of every task but density and bivariate, and
 aborts once more than 1% fail (``MEMBER_FAILURE_RATE``, not configurable).
 It sends one contiguous block of members to each of the ``jobs`` workers; a
-block is solved in one time loop (``config.solve_block``) and each member's
-solution then goes to the task's per-member worker.  Member seeds are
-base_seed + index, and a member's solution does not depend on the block it is
-solved in, so parallel execution order can never change a result.
+block is drawn and solved a chunk at a time (``config.solve_block``: one
+driver draw, then one time loop, or one stacked exact path for constant
+fields), and each member's solution then goes to the task's per-member
+worker.  Member seeds are base_seed + index, and a member's solution does not
+depend on the block it is solved in, so parallel execution order can never
+change a result.
 """
 from __future__ import annotations
 
@@ -313,8 +315,8 @@ def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
                                "failures": failures}
 
 
-def _sup_worker(spec, k, sol, restricts):
-    return [dl.sup_increment(sol.restrict(*r).values) for r in restricts]
+def _sup_worker(spec, k, sol, windows):
+    return [dl.sup_increment(sol.values[w]) for w in windows]
 
 
 def _task_tail(spec, jobs, out_dir, results, verdicts, rows):
@@ -328,8 +330,8 @@ def _task_tail(spec, jobs, out_dir, results, verdicts, rows):
     r2_floor, delta_max, rank_floor = p["tail_r2_floor"], p["tail_delta_r2"], p["tail_rank_corr"]
     halvings = p["halvings"]
     widths = [(interval[1] - interval[0]) / 2**j for j in range(halvings)]
-    restricts = [(interval[0], interval[0] + w) for w in widths]
-    out, failures = _member_map(_sup_worker, spec, range(spec.ensemble), jobs, restricts,
+    windows = [spec.grid.window(interval[0], interval[0] + w) for w in widths]
+    out, failures = _member_map(_sup_worker, spec, range(spec.ensemble), jobs, windows,
                                 fields=fname)
     sups = np.array(list(out.values()))  # (m, halvings)
 

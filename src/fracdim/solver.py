@@ -111,10 +111,11 @@ def _constant_field_path(
 
     ``x0`` of shape (..., n) takes ``path`` of shape (..., n_points, d).
     """
-    out = x0[..., None, :] + path @ fields.v(x0).swapaxes(-1, -2)
+    out = path @ fields.v(x0).swapaxes(-1, -2)
+    out += x0[..., None, :]
     v0 = fields.v0(x0)
     if np.any(v0):
-        out = out + (grid.points - grid.t_start)[:, None] * v0[..., None, :]
+        out += (grid.points - grid.t_start)[:, None] * v0[..., None, :]
     return out
 
 

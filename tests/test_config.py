@@ -162,6 +162,7 @@ def test_bad_section_key_rejected(task, key, value):
         ("mu", "sharpness", "sharpness = 0,4", ""),
         ("mu", "t_lo", "t_lo = 0", ""),
         ("mu", "t_lo", "t_lo = 1.0", ""),
+        ("mu", "t_lo", "t_lo = 0.1", "n_points = 64\nt_start = 0.5\n"),
         ("levelset", "t_lo", "t_lo = 0.9\nt_hi = 0.5", ""),
         ("levelset", "t_lo", "t_lo = 0.5\nt_hi = 0.5", ""),
         ("levelset", "t_lo", "t_lo = 0.2", "n_points = 64\nt_start = 0.5\n"),
@@ -224,6 +225,29 @@ def test_generator_dispatch_matches_direct_calls():
     assert late.grid.t_start == 0.5
     direct = fbm.generate_cholesky(late.grid, 1, 0.6, 9)
     assert np.array_equal(generate_driver(late, 0).values, direct.values)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None], ids=["1", "3", "whole"])
+@pytest.mark.parametrize("dim, t_start", [(1, 0.0), (2, 0.0), (2, 0.5)],
+                         ids=["circulant-d1", "circulant-d2", "cholesky-d2"])
+def test_identity_member_solution_does_not_depend_on_its_chunk(monkeypatch, chunk, dim, t_start):
+    from fracdim import config
+    from fracdim.fields import resolve_fields
+    from fracdim.solver import _constant_field_path
+
+    spec = ExperimentSpec(name="x", hurst=0.4, dim=dim, n_points=64, t_range=(t_start, 1.0),
+                          ensemble=8, base_seed=7)
+    if chunk is not None:
+        monkeypatch.setattr(config, "_BLOCK_STATES", chunk * spec.grid.n_points)
+    fs = resolve_fields("identity", dim)
+    sols = dict(config.solve_block(spec, range(spec.ensemble)))
+    assert list(sols) == list(range(spec.ensemble))
+    for k, sol in sols.items():
+        # the member's own draw and exact path, as one member alone
+        driver = generate_driver(spec, k)
+        alone = _constant_field_path(fs, np.zeros(dim), driver.values, spec.grid)
+        assert sol.seed == 7 + k
+        assert sol.values.tobytes() == alone.tobytes()
 
 
 def test_circulant_requires_zero_start():

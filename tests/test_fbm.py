@@ -187,6 +187,26 @@ def test_circulant_deterministic():
     assert np.all(a.values[0] == 0.0)
 
 
+@pytest.mark.parametrize(
+    "n, d, per_group",
+    [(65, 1, None), (257, 2, None), (257, 2, 3), (2**15 + 1, 2, None), (2**16 + 1, 1, None)],
+    ids=["one-group", "one-group-d2", "groups-of-3", "alone-d2", "alone"],
+)
+def test_circulant_seed_list_matches_one_call_per_seed(monkeypatch, n, d, per_group):
+    # the default groups hold every seed at n = 64 and 256 and one seed from
+    # 2^15 steps at d = 2; groups of 3 leave a short last group
+    grid = unit_grid(n)
+    if per_group is not None:
+        size = fbm._embedding_eigenvalues(0.4, n - 1).size
+        monkeypatch.setattr(fbm, "_GROUP_VALUES", per_group * d * size)
+    seeds = [0, 7, 3, 7040, 2**64 - 1, 12, 5]
+    paths = fbm.generate_circulant(grid, d, 0.4, seeds)
+    assert [p.seed for p in paths] == seeds
+    for seed, path in zip(seeds, paths):
+        alone = fbm.generate_circulant(grid, d, 0.4, seed)
+        assert path.values.tobytes() == alone.values.tobytes()
+
+
 def test_circulant_requires_zero_start():
     with pytest.raises(ValueError):
         fbm.generate_circulant(TimeGrid(8, 0.5, 1.0), 1, 0.5, seed=0)
@@ -321,6 +341,30 @@ def test_sample_path_restrict_and_decimate():
     assert np.array_equal(d.values, p.values[::2])
     with pytest.raises(ValueError):
         p.decimate(3)
+
+
+@pytest.mark.parametrize("grid", [unit_grid(9), TimeGrid(257, 0.5, 1.0), TimeGrid(100, 0.0, 3.0)],
+                         ids=["unit9", "late257", "long100"])
+@pytest.mark.parametrize(
+    "t_lo, t_hi",
+    [(0.25, 0.75), (0.5, 1.0), (0.0, 3.0), (0.13, 0.77), (0.1, 0.9),
+     (0.75 - 5e-13, 0.875 + 5e-13), (0.75 + 5e-12, 1.0), (0.6, 0.61), (-1.0, 0.5)],
+)
+def test_window_keeps_the_points_restrict_kept(grid, t_lo, t_hi):
+    # the oracle is the mask restrict applied before the window existed
+    pts = grid.points
+    idx = np.nonzero((pts >= t_lo - 1e-12) & (pts <= t_hi + 1e-12))[0]
+    path = SamplePath(grid, np.arange(2.0 * grid.n_points).reshape(-1, 2), seed=3)
+    if idx.size < 2:
+        for keep in (lambda: grid.window(t_lo, t_hi), lambda: path.restrict(t_lo, t_hi)):
+            with pytest.raises(ValueError, match="fewer than two grid points"):
+                keep()
+        return
+    assert np.array_equal(np.arange(grid.n_points)[grid.window(t_lo, t_hi)], idx)
+    sub = path.restrict(t_lo, t_hi)
+    assert np.array_equal(sub.values, path.values[idx])
+    assert sub.grid == TimeGrid(idx.size, float(pts[idx[0]]), float(pts[idx[-1]]))
+    assert sub.seed == 3
 
 
 def test_time_grid_validation():

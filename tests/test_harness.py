@@ -308,6 +308,11 @@ def _failure_maps(node):
                 yield from _failure_maps(value)
 
 
+def _members(indices):
+    """The members of one ``generate_driver`` call: an index or a chunk of them."""
+    return [indices] if isinstance(indices, int) else list(indices)
+
+
 @pytest.mark.parametrize(
     "task, n_points, ensemble",
     [("dim_image", 256, 100), ("levelset", 1024, 100), ("tail", 64, 1001),
@@ -318,10 +323,11 @@ def test_member_failure_is_reported_under_its_seed(tmp_path, monkeypatch, task, 
 
     real = config.generate_driver
 
-    def member_1_fails(spec, k):
-        if k == 1:
+    def member_1_fails(spec, indices):
+        # a chunk holding member 1 fails its draw, then is drawn member by member
+        if 1 in _members(indices):
             raise ValueError("boom")
-        return real(spec, k)
+        return real(spec, indices)
 
     monkeypatch.setattr(config, "generate_driver", member_1_fails)
     spec = small_spec(tmp_path, n_points=n_points, ensemble=ensemble, base_seed=500)
@@ -347,13 +353,16 @@ def test_member_failing_the_guard_in_its_block_fails_alone(tmp_path, monkeypatch
 
     real = config.generate_driver
 
-    def jump_on_member_1(spec, k):
-        driver = real(spec, k)
-        if k != 1:
-            return driver
+    def jump(driver):
         values = driver.values.copy()
         values[40:] += 1e13
         return SamplePath(driver.grid, values, hurst=driver.hurst, seed=driver.seed)
+
+    def jump_on_member_1(spec, indices):
+        drivers = real(spec, indices)
+        if isinstance(indices, int):
+            return jump(drivers) if indices == 1 else drivers
+        return [jump(driver) if k == 1 else driver for k, driver in zip(indices, drivers)]
 
     monkeypatch.setattr(config, "generate_driver", jump_on_member_1)
     spec = small_spec(tmp_path, hurst=0.75, dim=2, n_points=64, ensemble=100, base_seed=500,
@@ -371,7 +380,8 @@ def test_member_failing_the_guard_in_its_block_fails_alone(tmp_path, monkeypatch
 
 
 def _count_solves(monkeypatch, failing=()):
-    """Count the driver draws of every solve per member; members in ``failing`` raise."""
+    """Count the driver draws of every solve per member; a draw holding a member
+    in ``failing`` raises (a failed chunk is then drawn again member by member)."""
     from collections import Counter
 
     from fracdim import config
@@ -379,11 +389,11 @@ def _count_solves(monkeypatch, failing=()):
     real = config.generate_driver
     calls = Counter()
 
-    def counted(spec, k):
-        calls[k] += 1
-        if k in failing:
+    def counted(spec, indices):
+        calls.update(_members(indices))
+        if set(failing) & set(_members(indices)):
             raise ValueError("boom")
-        return real(spec, k)
+        return real(spec, indices)
 
     monkeypatch.setattr(config, "generate_driver", counted)
     return calls
