@@ -68,6 +68,11 @@ ALL_TASKS = tuple(TASK_PARAMS)
 #: most states (members x grid points) one block solve holds at once, which
 #: bounds its memory; 2^20 is 16 members of the 2^16-step configs
 _BLOCK_STATES = 2**20
+#: the same for one stacked exact path of constant fields.  Its states are cheap,
+#: but each member carries its driver and solution objects: 10^4 members of 64
+#: steps at once cost 8 MB more peak memory than 2^16 states at a time, and ran
+#: no faster.  At 2^16 steps a chunk is one member.
+_CONSTANT_STATES = 2**16
 
 
 def _increasing_positive(values) -> bool:
@@ -349,14 +354,15 @@ def solve_block(
     """Generate -> lift -> solve from 0 for each member, seed-tagged, in index order.
 
     Yields (index, solution), or (index, exception) for a member that failed
-    alone.  Members go up to ``_BLOCK_STATES`` / grid points at a time: one
-    driver draw for the chunk, then one solve, in one time loop, or for
-    constant field sets (identity) one stacked exact path, which needs no lift.
-    Each member's solution is bit-identical to its solve alone.
+    alone.  Members go a chunk at a time: one driver draw for the chunk, then
+    one solve of up to ``_BLOCK_STATES`` states in one time loop, or for
+    constant field sets (identity) one stacked exact path of up to
+    ``_CONSTANT_STATES`` states, which needs no lift.  Each member's solution
+    is bit-identical to its solve alone.
     """
     fs = resolve_fields(fields_name or spec.fields[0], spec.dim)
     indices = list(indices)
-    size = max(1, _BLOCK_STATES // spec.grid.n_points)
+    size = max(1, (_CONSTANT_STATES if fs.constant else _BLOCK_STATES) // spec.grid.n_points)
     for a in range(0, len(indices), size):
         chunk = indices[a:a + size]
         yield from zip(chunk, _solve_chunk(spec, fs, chunk))

@@ -238,7 +238,7 @@ def test_identity_member_solution_does_not_depend_on_its_chunk(monkeypatch, chun
     spec = ExperimentSpec(name="x", hurst=0.4, dim=dim, n_points=64, t_range=(t_start, 1.0),
                           ensemble=8, base_seed=7)
     if chunk is not None:
-        monkeypatch.setattr(config, "_BLOCK_STATES", chunk * spec.grid.n_points)
+        monkeypatch.setattr(config, "_CONSTANT_STATES", chunk * spec.grid.n_points)
     fs = resolve_fields("identity", dim)
     sols = dict(config.solve_block(spec, range(spec.ensemble)))
     assert list(sols) == list(range(spec.ensemble))
