@@ -1,5 +1,5 @@
-"""Monte Carlo distribution checks: sup-increment tails, kernel density
-estimates of increments and joint vectors, and positivity scans.
+"""Monte Carlo distribution checks: sup-increment tails and kernel density
+estimates of increments and joint vectors.
 
 All constants in the underlying decay statements are existential, so every
 check here is about functional form: which exponent fits, which scalings
@@ -17,15 +17,14 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .config import ExperimentSpec, solve_block
 from .config import solve_member  # noqa: F401  bound for the benchmark's tracer (bench/spans.py)
+from .dimension import _line_fit
 
 __all__ = [
     "DensityEstimate",
-    "PositivityResult",
     "TailCurve",
     "fit_tail_exponent",
     "kde_bivariate_decay",
     "kde_increment",
-    "positivity_scan",
     "sup_increment",
     "tail_curve",
     "upper_envelope_fit",
@@ -82,13 +81,6 @@ class DensityEstimate:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
-class PositivityResult:
-    min_value: float
-    verdict: str  # "positive" | "untestable"
-    lattice_points: int
-
-
 def sup_increment(values: np.ndarray) -> float:
     """sup over pairs of |X_v - X_u| = diameter of the visited point set."""
     if values.shape[1] == 1:
@@ -102,6 +94,8 @@ def sup_increment(values: np.ndarray) -> float:
     return float(np.sqrt((diff**2).sum(axis=-1)).max())
 
 
+# No run path calls this; it stays only because the benchmark's tracer
+# (bench/spans.py) patches it by name.
 def _ensemble_samples_at(spec: ExperimentSpec, times: tuple[float, ...]) -> np.ndarray:
     """State samples at the requested times for each member, shape (m, len(times), d)."""
     grid = spec.grid
@@ -157,11 +151,9 @@ def fit_tail_exponent(
         raise ValueError("degenerate curve: all probabilities equal")
     slopes, r2s = [], []
     for a in candidate_exponents:
-        x = xi**a
-        slope, intercept = np.polyfit(x, y, 1)
-        resid = y - (slope * x + intercept)
-        r2s.append(1.0 - float((resid**2).sum()) / float(((y - y.mean()) ** 2).sum()))
-        slopes.append(float(slope))
+        slope, _, r2 = _line_fit(xi**a, y)
+        r2s.append(r2)
+        slopes.append(slope)
     best = candidate_exponents[int(np.argmax(r2s))]
     return best, slopes, r2s
 
@@ -190,16 +182,19 @@ def kde_increment(
     samples: np.ndarray,
     interval: tuple[float, float],
     centers: np.ndarray,
+    ensemble: int | None = None,
 ) -> DensityEstimate:
     """Kernel density of X_t - X_s at the given centers.
 
-    ``samples`` holds each member's states at (s, t), shape (m, 2, d).
+    ``samples`` holds each member's states at (s, t), shape (m, 2, d).  The
+    ensemble floor applies to ``ensemble``, the members requested (default:
+    one per sample), as in ``tail_curve``.
     """
     s, t = interval
     if s < 0.1 - 1e-12:
         raise ValueError("increment densities are estimated away from 0 (s >= 0.1)")
     m, _, d = samples.shape
-    if m < _MIN_KDE_ENSEMBLE:
+    if (m if ensemble is None else ensemble) < _MIN_KDE_ENSEMBLE:
         raise ValueError(f"kde_increment needs an ensemble of at least {_MIN_KDE_ENSEMBLE}")
     inc = samples[:, 1, :] - samples[:, 0, :]
     pts = np.atleast_2d(np.asarray(centers, dtype=float))
@@ -209,58 +204,24 @@ def kde_increment(
     return DensityEstimate(pts, vals, float(np.mean(b)), m, interval)
 
 
-def positivity_scan(
-    samples: np.ndarray,
-    t: float,
-    window: tuple[float, float],
-    lattice_per_dim: int | None = None,
-) -> PositivityResult:
-    """Minimum KDE value of X_t over a lattice filling the window box.
-
-    ``samples`` holds each member's state at t, shape (m, d).  Too small an
-    ensemble, too few samples near the window, or full KDE underflow make the
-    scan untestable rather than failed.
-    """
-    if t < 0.1:
-        raise ValueError("positivity scans require t >= 0.1")
-    d = samples.shape[1]
-    if lattice_per_dim is None:
-        lattice_per_dim = max(2, int(10_000 ** (1.0 / d)))
-    if lattice_per_dim**d > 10_000:
-        raise ValueError("lattice exceeds 10^4 points")
-    axes = [np.linspace(window[0], window[1], lattice_per_dim)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    lattice = np.column_stack([m.ravel() for m in mesh])
-    if samples.shape[0] < 100:
-        return PositivityResult(math.nan, "untestable", lattice.shape[0])
-    b = _bandwidths(samples)
-    near = np.all(
-        (samples >= window[0] - 3 * b) & (samples <= window[1] + 3 * b), axis=1
-    )
-    if near.sum() < 10:
-        return PositivityResult(0.0, "untestable", lattice.shape[0])
-    vals, _ = _kde_at(samples, lattice)
-    mn = float(vals.min())
-    verdict = "positive" if mn > 0.0 else "untestable"
-    return PositivityResult(mn, verdict, lattice.shape[0])
-
-
 def kde_bivariate_decay(
     samples: np.ndarray,
     s: float,
     t: float,
     offsets: np.ndarray,
+    ensemble: int | None = None,
 ) -> list[tuple[float, float]]:
     """Joint KDE of (X_s, X_t) at pairs (z, z + offset), z the median of X_s.
 
-    ``samples`` holds each member's states at (s, t), shape (m, 2, d).
+    ``samples`` holds each member's states at (s, t), shape (m, 2, d); the
+    ensemble floor applies to ``ensemble`` as in ``kde_increment``.
     Returns (|offset|, joint density) pairs, the raw material for decay
     profiles in |offset|^(2 gamma).
     """
     if not (0.1 <= s < t):
         raise ValueError("need 0.1 <= s < t")
     m, _, d = samples.shape
-    if m < _MIN_BIVARIATE_ENSEMBLE:
+    if (m if ensemble is None else ensemble) < _MIN_BIVARIATE_ENSEMBLE:
         raise ValueError(
             f"kde_bivariate_decay needs an ensemble of at least {_MIN_BIVARIATE_ENSEMBLE}"
         )
@@ -301,9 +262,4 @@ def upper_envelope_fit(
         ys.append(float(np.log(np.quantile(v[sel], 0.9))))
     if len(xs) < 3:
         raise ValueError("too few populated bins for an envelope fit")
-    xs = np.array(xs)
-    ys = np.array(ys)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    r2 = 1.0 - float((resid**2).sum()) / float(((ys - ys.mean()) ** 2).sum())
-    return float(slope), float(intercept), r2
+    return _line_fit(np.array(xs), np.array(ys))

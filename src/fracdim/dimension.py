@@ -172,12 +172,16 @@ def box_dimension(
         return DimensionEstimate(
             0.0, float(ys[0]), 1.0, list(scales), list(map(int, counts)), degenerate=True
         )
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    r2 = 1.0 - float((resid**2).sum()) / float(((ys - ys.mean()) ** 2).sum())
-    return DimensionEstimate(
-        float(slope), float(intercept), r2, list(scales), list(map(int, counts))
-    )
+    slope, intercept, r2 = _line_fit(xs, ys)
+    return DimensionEstimate(slope, intercept, r2, list(scales), list(map(int, counts)))
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line through (x, y): (slope, intercept, R^2)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    r2 = 1.0 - float((resid**2).sum()) / float(((y - y.mean()) ** 2).sum())
+    return float(slope), float(intercept), r2
 
 
 def _anchored_slope(cloud: PointCloud, octaves: int) -> tuple[float, float]:

@@ -7,8 +7,8 @@ Each task reads its parameters and windows as one dict,
 ``config.TASK_PARAMS``, which lists every section key; a spec rejects an
 unknown or wrongly typed key, and ``run`` rejects settings a requested task
 cannot use (``spec.check_task``) before any member is solved.
-``_member_map`` runs the members of every task but density and bivariate, and
-aborts once more than 1% fail (``MEMBER_FAILURE_RATE``, not configurable).
+``_member_map`` runs the members of every task, and aborts once more than
+1% fail (``MEMBER_FAILURE_RATE``, not configurable).
 It sends one contiguous block of members to each of the ``jobs`` workers; a
 block is drawn and solved a chunk at a time (``config.solve_block``: one
 driver draw, then one time loop, or one stacked exact path for constant
@@ -319,6 +319,25 @@ def _sup_worker(spec, k, sol, windows):
     return [dl.sup_increment(sol.values[w]) for w in windows]
 
 
+def _state_worker(spec, k, sol, idx):
+    """The member's states at the grid indices ``idx``, as one flat tuple
+    (10^5 of them are cheaper to pickle and hold than as arrays)."""
+    return tuple(sol.values[idx].ravel().tolist())
+
+
+def _states_at(spec, jobs, s, t):
+    """The surviving members' states at (s, t), shape (m, 2, d) in index order;
+    the spread of the first members' increments; the failures."""
+    grid = spec.grid
+    idx = [int(round((u - grid.t_start) / grid.spacing)) for u in (s, t)]
+    out, failures = _member_map(_state_worker, spec, range(spec.ensemble), jobs, idx,
+                                fields=spec.fields[0])
+    samples = np.array(list(out.values())).reshape(len(out), 2, spec.dim)
+    pilot = samples[:256]  # the first members set the scale of the evaluation grid
+    sd = float((pilot[:, 1, :] - pilot[:, 0, :]).std())
+    return samples, sd, failures
+
+
 def _task_tail(spec, jobs, out_dir, results, verdicts, rows):
     p = spec.task_settings("tail")
     fname = spec.fields[0]
@@ -399,16 +418,14 @@ def _task_density(spec, jobs, out_dir, results, verdicts, rows):
     expected = min(2.0 * spec.hurst + 1.0, 2.0)
     env_floor, mode_tol = p["envelope_r2_increment"], p["kde_mode_rel_tol"]
 
-    samples = dl._ensemble_samples_at(spec, (s, t))
-    pilot = samples[:256]  # the first members set the scale of the evaluation grid
-    sd = float((pilot[:, 1, :] - pilot[:, 0, :]).std())
+    samples, sd, failures = _states_at(spec, jobs, s, t)
     if spec.dim == 1:
         centers = np.linspace(-4 * sd, 4 * sd, 81).reshape(-1, 1)
     else:
         g = np.linspace(-3 * sd, 3 * sd, 15)
         mesh = np.meshgrid(*([g] * spec.dim), indexing="ij")
         centers = np.column_stack([m.ravel() for m in mesh])
-    est = dl.kde_increment(samples, (s, t), centers)
+    est = dl.kde_increment(samples, (s, t), centers, ensemble=spec.ensemble)
     z = np.sqrt((est.centers**2).sum(axis=1))
     keep = z > 0.5 * sd
     slope, _, r2 = dl.upper_envelope_fit(z[keep], est.values[keep], expected)
@@ -422,7 +439,8 @@ def _task_density(spec, jobs, out_dir, results, verdicts, rows):
             extras={"exponent_tested": expected, "slope": slope, "r2": r2},
         )
     )
-    info = {"envelope_slope": slope, "envelope_r2": r2, "bandwidth": est.bandwidth}
+    info = {"envelope_slope": slope, "envelope_r2": r2, "bandwidth": est.bandwidth,
+            "failures": failures}
     if spec.fields[0] == "identity" and spec.hurst == 0.5 and spec.dim == 1:
         exact = 1.0 / math.sqrt(2 * math.pi * (t - s))
         mid = float(est.values[int(np.argmin(z))])
@@ -449,20 +467,14 @@ def _task_bivariate(spec, jobs, out_dir, results, verdicts, rows):
     gamma = 0.9 * spec.hurst
     env_floor, oracle_tol = p["envelope_r2_bivariate"], p["bivariate_oracle_rel_tol"]
 
-    samples = dl._ensemble_samples_at(spec, (s, t))
-    pilot = samples[:256]  # the first members set the scale of the evaluation grid
-    sd = float((pilot[:, 1, :] - pilot[:, 0, :]).std())
+    samples, sd, failures = _states_at(spec, jobs, s, t)
     mags = np.linspace(0.0, 3.5 * sd, 8)
     offsets = np.zeros((mags.size, spec.dim))
     offsets[:, 0] = mags
-    pairs = dl.kde_bivariate_decay(samples, s, t, offsets)
+    pairs = dl.kde_bivariate_decay(samples, s, t, offsets, ensemble=spec.ensemble)
     rs = np.array([r for r, _ in pairs])
     vs = np.array([v for _, v in pairs])
-    x = rs ** (2 * gamma)
-    y = np.log(np.maximum(vs, 1e-300))
-    sl, ic = np.polyfit(x, y, 1)
-    resid = y - (sl * x + ic)
-    r2 = 1.0 - float((resid**2).sum()) / float(((y - y.mean()) ** 2).sum())
+    sl, _, r2 = dm._line_fit(rs ** (2 * gamma), np.log(np.maximum(vs, 1e-300)))
     ok = sl < 0 and r2 >= env_floor
     verdicts.append(
         Verdict(
@@ -470,10 +482,11 @@ def _task_bivariate(spec, jobs, out_dir, results, verdicts, rows):
             measured=f"profile slope {sl:.4f}, R2 {r2:.4f}",
             window=f"slope < 0 and R2 >= {env_floor}",
             verdict="pass" if ok else "fail",
-            extras={"exponent_tested": 2 * gamma, "slope": float(sl), "r2": r2},
+            extras={"exponent_tested": 2 * gamma, "slope": sl, "r2": r2},
         )
     )
-    info = {"profile_slope": float(sl), "profile_r2": r2, "pairs": [[r, v] for r, v in pairs]}
+    info = {"profile_slope": sl, "profile_r2": r2, "pairs": [[r, v] for r, v in pairs],
+            "failures": failures}
     if spec.fields[0] == "identity" and spec.hurst == 0.5 and spec.dim == 1:
         worst = 0.0
         for off, (_, v) in zip(mags, pairs):

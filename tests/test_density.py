@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracdim import density as dl
-from fracdim.config import ExperimentSpec, solve_member
+from fracdim.config import ExperimentSpec, solve_block
 from fracdim.density import TailCurve
 
 
@@ -14,15 +14,20 @@ def brownian_spec(ensemble, n_points=256, seed=314159, h=0.5, dim=1):
     )
 
 
+def members(spec):
+    """Each member's solution in index order, solved a chunk at a time."""
+    return (sol.values for _, sol in solve_block(spec, range(spec.ensemble)))
+
+
 def collect_sups(spec):
-    sups = np.empty(spec.ensemble)
-    for k in range(spec.ensemble):
-        sups[k] = dl.sup_increment(solve_member(spec, k).values)
-    return sups
+    return np.array([dl.sup_increment(values) for values in members(spec)])
 
 
 def samples_at(spec, *times):
-    return dl._ensemble_samples_at(spec, times)
+    """Each member's states at ``times``, shape (m, len(times), d)."""
+    grid = spec.grid
+    idx = [int(round((t - grid.t_start) / grid.spacing)) for t in times]
+    return np.array([values[idx] for values in members(spec)])
 
 
 # ------------------------------------------------------------------ sup stat
@@ -164,28 +169,6 @@ def test_kde_increment_guards():
         dl.kde_increment(samples, (0.0, 0.5), np.zeros(1))
 
 
-# ---------------------------------------------------------------- positivity
-
-def test_positivity_scan_brownian_window():
-    spec = brownian_spec(20_000, n_points=64)
-    res = dl.positivity_scan(samples_at(spec, 1.0)[:, 0], 1.0, (-1.0, 1.0))
-    assert res.verdict == "positive"
-    assert res.min_value >= 0.1  # exact Gaussian density at |y| = 1 is 0.2420
-
-
-def test_positivity_scan_untestable_paths():
-    tiny = samples_at(brownian_spec(10, n_points=64), 1.0)[:, 0]
-    assert dl.positivity_scan(tiny, 1.0, (-1.0, 1.0)).verdict == "untestable"
-    far = samples_at(brownian_spec(500, n_points=64), 1.0)[:, 0]
-    assert dl.positivity_scan(far, 1.0, (50.0, 51.0)).verdict == "untestable"
-
-
-def test_positivity_scan_lattice_cap():
-    samples = samples_at(brownian_spec(500, n_points=64, dim=2), 1.0)[:, 0]
-    with pytest.raises(ValueError, match="lattice"):
-        dl.positivity_scan(samples, 1.0, (-1.0, 1.0), lattice_per_dim=101)
-
-
 # ----------------------------------------------------------------- bivariate
 
 def test_bivariate_offset_zero_is_maximal():
@@ -228,13 +211,3 @@ def test_tail_fit_split_stability():
         agree += best_of(sups[:5000]) == best_of(sups[5000:])
     assert agree >= 16
 
-
-def test_positivity_scan_elliptic_2d():
-    # strict positivity of the time-1 law for the smooth elliptic system
-    spec = ExperimentSpec(
-        name="p2", hurst=0.5, dim=2, n_points=64, ensemble=2000,
-        base_seed=77, fields=("elliptic_sin_2d",),
-    )
-    res = dl.positivity_scan(samples_at(spec, 1.0)[:, 0], 1.0, (-0.5, 0.5), lattice_per_dim=21)
-    assert res.verdict == "positive"
-    assert res.min_value > 0.0

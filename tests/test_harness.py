@@ -78,6 +78,8 @@ MEMBER_TASKS = {
     "tail": ("tail", dict(n_points=64, ensemble=1000)),
     "energy": ("energy", dict(hurst=0.75, dim=2, n_points=256, ensemble=4)),
     "mu": ("mu", dict(n_points=256, ensemble=8)),
+    "density": ("density", dict(n_points=64, ensemble=10_000)),
+    "bivariate": ("bivariate", dict(n_points=64, ensemble=100_000)),
 }
 
 
@@ -316,7 +318,8 @@ def _members(indices):
 @pytest.mark.parametrize(
     "task, n_points, ensemble",
     [("dim_image", 256, 100), ("levelset", 1024, 100), ("tail", 64, 1001),
-     ("energy", 64, 100), ("mu", 256, 100), ("solve", 256, 100)],
+     ("energy", 64, 100), ("mu", 256, 100), ("solve", 256, 100),
+     ("density", 64, 10_000), ("bivariate", 64, 100_000)],
 )
 def test_member_failure_is_reported_under_its_seed(tmp_path, monkeypatch, task, n_points, ensemble):
     from fracdim import config
