@@ -1,15 +1,19 @@
 """Vector-field sets for the driven state equation, plus a named catalog.
 
 The diffusion matrix convention is V(x)[i, j] = i-th component of the j-th
-noise field.  Every set supplies its derivatives, laid out as:
+noise field.  A set's ``jet(x, order)`` returns the first ``order`` items of
+(V, DV, D²V), evaluated together, laid out as:
 
-* ``first_derivatives(x)[i, l, j]``     = d V[i, j] / d x_l
-* ``second_derivatives(x)[i, m, l, j]`` = d^2 V[i, j] / (d x_m d x_l)
-* ``drift_derivatives(x)[i, l]``        = d V0[i] / d x_l
+* ``V[i, j]``
+* ``DV[i, l, j]``     = d V[i, j] / d x_l
+* ``D²V[i, m, l, j]`` = d^2 V[i, j] / (d x_m d x_l)
 
-Every function takes stacked states: ``x`` of shape (..., n) gives V of shape
-(..., n, d), first derivatives of shape (..., n, n, d), and so on, one slice
-per state, so the solver can advance a block of members at once.
+Its ``drift(x)`` returns (V0, DV0) with ``DV0[i, l]`` = d V0[i] / d x_l, or
+is None when V0 is identically zero.
+
+Both take stacked states: ``x`` of shape (..., n) gives V of shape
+(..., n, d), DV of shape (..., n, n, d), and so on, one slice per state, so
+the solver can advance a block of members at once.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VectorFieldSet:
-    """Drift V0 and diffusion fields V1..Vd with their analytic derivatives.
+    """Diffusion fields V1..Vd as a jet, and an optional drift V0.
 
     ``constant`` marks state-independent V0 and V, which lets the solver take
     its exact cumulative-sum path.
@@ -39,18 +43,35 @@ class VectorFieldSet:
 
     dim_state: int
     dim_noise: int
-    v0: Callable[[np.ndarray], np.ndarray]
-    v: Callable[[np.ndarray], np.ndarray]
-    first_derivatives: Callable[[np.ndarray], np.ndarray]
-    second_derivatives: Callable[[np.ndarray], np.ndarray]
-    drift_derivatives: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray, int], tuple[np.ndarray, ...]]
+    drift: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     constant: bool = False
     name: str = ""
+
+    def v(self, x: np.ndarray) -> np.ndarray:
+        return self.jet(x, 1)[0]
+
+    def first_derivatives(self, x: np.ndarray) -> np.ndarray:
+        return self.jet(x, 2)[1]
+
+    def second_derivatives(self, x: np.ndarray) -> np.ndarray:
+        return self.jet(x, 3)[2]
+
+    def v0(self, x: np.ndarray) -> np.ndarray:
+        """The drift V0 at ``x``; zeros for a set without a drift."""
+        if self.drift is None:
+            return _zeros(x, self.dim_state)
+        return self.drift(x)[0]
 
 
 def _zeros(x: np.ndarray, *shape: int) -> np.ndarray:
     """Zeros of shape (..., *shape) for the stacked states ``x`` of shape (..., n)."""
     return np.zeros(x.shape[:-1] + shape)
+
+
+def _zero_derivatives(x: np.ndarray, order: int, dim: int) -> tuple[np.ndarray, ...]:
+    """The zero DV, D²V of a state-independent square V, up to ``order``."""
+    return tuple(_zeros(x, *(dim,) * (k + 2)) for k in range(1, order))
 
 
 def make_identity(dim: int) -> VectorFieldSet:
@@ -59,11 +80,7 @@ def make_identity(dim: int) -> VectorFieldSet:
     return VectorFieldSet(
         dim_state=dim,
         dim_noise=dim,
-        v0=lambda x: _zeros(x, dim),
-        v=lambda x: _zeros(x, dim, dim) + eye,
-        first_derivatives=lambda x: _zeros(x, dim, dim, dim),
-        second_derivatives=lambda x: _zeros(x, dim, dim, dim, dim),
-        drift_derivatives=lambda x: _zeros(x, dim, dim),
+        jet=lambda x, order: (_zeros(x, dim, dim) + eye,) + _zero_derivatives(x, order, dim),
         constant=True,
         name="identity",
     )
@@ -75,21 +92,12 @@ def make_geometric_1d(sigma: float = 1.0) -> VectorFieldSet:
     For a piecewise-linear driver this closed form is exact at every H.
     """
 
-    def v(x: np.ndarray) -> np.ndarray:
-        out = np.empty(x.shape[:-1] + (1, 1))
-        out[..., 0, 0] = sigma * x[..., 0]
-        return out
+    def jet(x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+        v = np.empty(x.shape[:-1] + (1, 1))
+        v[..., 0, 0] = sigma * x[..., 0]
+        return (v, _zeros(x, 1, 1, 1) + sigma, _zeros(x, 1, 1, 1, 1))[:order]
 
-    return VectorFieldSet(
-        dim_state=1,
-        dim_noise=1,
-        v0=lambda x: _zeros(x, 1),
-        v=v,
-        first_derivatives=lambda x: _zeros(x, 1, 1, 1) + sigma,
-        second_derivatives=lambda x: _zeros(x, 1, 1, 1, 1),
-        drift_derivatives=lambda x: _zeros(x, 1, 1),
-        name="geometric_1d",
-    )
+    return VectorFieldSet(dim_state=1, dim_noise=1, jet=jet, name="geometric_1d")
 
 
 def make_elliptic_sin_2d() -> VectorFieldSet:
@@ -99,68 +107,50 @@ def make_elliptic_sin_2d() -> VectorFieldSet:
     stays uniformly elliptic with lambda >= (1 - 0.1 sqrt(2))^2.
     """
 
-    def v(x: np.ndarray) -> np.ndarray:
+    def jet(x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
         s, c = np.sin(x), np.cos(x)
-        out = np.empty(x.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 1.0 + 0.1 * s[..., 1]
-        out[..., 0, 1] = 0.1 * c[..., 1]
-        out[..., 1, 0] = 0.1 * s[..., 0]
-        out[..., 1, 1] = 1.0 + 0.1 * c[..., 0]
-        return out
+        v = np.empty(x.shape[:-1] + (2, 2))
+        v[..., 0, 0] = 1.0 + 0.1 * s[..., 1]
+        v[..., 0, 1] = 0.1 * c[..., 1]
+        v[..., 1, 0] = 0.1 * s[..., 0]
+        v[..., 1, 1] = 1.0 + 0.1 * c[..., 0]
+        if order < 2:
+            return (v,)
+        dv = _zeros(x, 2, 2, 2)
+        dv[..., 0, 1, 0] = 0.1 * c[..., 1]
+        dv[..., 0, 1, 1] = -0.1 * s[..., 1]
+        dv[..., 1, 0, 0] = 0.1 * c[..., 0]
+        dv[..., 1, 0, 1] = -0.1 * s[..., 0]
+        if order < 3:
+            return v, dv
+        d2v = _zeros(x, 2, 2, 2, 2)
+        d2v[..., 0, 1, 1, 0] = -0.1 * s[..., 1]
+        d2v[..., 0, 1, 1, 1] = -0.1 * c[..., 1]
+        d2v[..., 1, 0, 0, 0] = -0.1 * s[..., 0]
+        d2v[..., 1, 0, 0, 1] = -0.1 * c[..., 0]
+        return v, dv, d2v
 
-    def dv(x: np.ndarray) -> np.ndarray:
-        s, c = np.sin(x), np.cos(x)
-        out = _zeros(x, 2, 2, 2)
-        out[..., 0, 1, 0] = 0.1 * c[..., 1]
-        out[..., 0, 1, 1] = -0.1 * s[..., 1]
-        out[..., 1, 0, 0] = 0.1 * c[..., 0]
-        out[..., 1, 0, 1] = -0.1 * s[..., 0]
-        return out
-
-    def d2v(x: np.ndarray) -> np.ndarray:
-        s, c = np.sin(x), np.cos(x)
-        out = _zeros(x, 2, 2, 2, 2)
-        out[..., 0, 1, 1, 0] = -0.1 * s[..., 1]
-        out[..., 0, 1, 1, 1] = -0.1 * c[..., 1]
-        out[..., 1, 0, 0, 0] = -0.1 * s[..., 0]
-        out[..., 1, 0, 0, 1] = -0.1 * c[..., 0]
-        return out
-
-    return VectorFieldSet(
-        dim_state=2,
-        dim_noise=2,
-        v0=lambda x: _zeros(x, 2),
-        v=v,
-        first_derivatives=dv,
-        second_derivatives=d2v,
-        drift_derivatives=lambda x: _zeros(x, 2, 2),
-        name="elliptic_sin_2d",
-    )
+    return VectorFieldSet(dim_state=2, dim_noise=2, jet=jet, name="elliptic_sin_2d")
 
 
 def make_drift_only(dim: int) -> VectorFieldSet:
     """Pure smooth bounded drift, zero diffusion; the deterministic benchmark."""
 
-    def v0(x: np.ndarray) -> np.ndarray:
-        return 0.5 * np.sin(np.roll(x, -1, axis=-1)) + 0.3 * np.cos(x)
-
-    def dv0(x: np.ndarray) -> np.ndarray:
-        out = _zeros(x, dim, dim)
+    def drift(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        v0 = 0.5 * np.sin(np.roll(x, -1, axis=-1)) + 0.3 * np.cos(x)
+        dv0 = _zeros(x, dim, dim)
         rolled = 0.5 * np.cos(np.roll(x, -1, axis=-1))
         sin_x = np.sin(x)
         for i in range(dim):
-            out[..., i, (i + 1) % dim] += rolled[..., i]
-            out[..., i, i] += -0.3 * sin_x[..., i]
-        return out
+            dv0[..., i, (i + 1) % dim] += rolled[..., i]
+            dv0[..., i, i] += -0.3 * sin_x[..., i]
+        return v0, dv0
 
     return VectorFieldSet(
         dim_state=dim,
         dim_noise=dim,
-        v0=v0,
-        v=lambda x: _zeros(x, dim, dim),
-        first_derivatives=lambda x: _zeros(x, dim, dim, dim),
-        second_derivatives=lambda x: _zeros(x, dim, dim, dim, dim),
-        drift_derivatives=dv0,
+        jet=lambda x, order: (_zeros(x, dim, dim),) + _zero_derivatives(x, order, dim),
+        drift=drift,
         name="drift_only",
     )
 

@@ -94,14 +94,17 @@ def _validate_shapes(fields: VectorFieldSet, x0: np.ndarray, depth: int) -> None
     lead = x0.shape[:-1]
     if x0.shape[-1:] != (n,) or len(lead) > 1:
         raise ValueError(f"x0 must have shape ({n},), or (members, {n}) for a stacked driver")
-    if fields.v0(x0).shape != lead + (n,):
-        raise ValueError("v0 must return shape (..., n)")
-    if fields.v(x0).shape != lead + (n, d):
-        raise ValueError("v must return shape (..., n, d)")
-    if fields.first_derivatives(x0).shape != lead + (n, n, d):
-        raise ValueError("first derivatives must have shape (..., n, n, d)")
-    if depth >= 3 and fields.second_derivatives(x0).shape != lead + (n, n, n, d):
-        raise ValueError("second derivatives must have shape (..., n, n, n, d)")
+    expected = {"V": (n, d), "DV": (n, n, d), "D2V": (n, n, n, d), "V0": (n,), "DV0": (n, n)}
+    jet = fields.jet(x0, depth)
+    if len(jet) != depth:
+        raise ValueError(f"jet(x, {depth}) must return {depth} arrays, got {len(jet)}")
+    pieces = dict(zip(("V", "DV", "D2V"), jet))
+    if fields.drift is not None:
+        pieces.update(zip(("V0", "DV0"), fields.drift(x0)))
+    for piece, value in pieces.items():
+        want = lead + expected[piece]
+        if np.shape(value) != want:
+            raise ValueError(f"{piece} must have shape {want}, got {np.shape(value)}")
 
 
 def _constant_field_path(
@@ -137,17 +140,19 @@ def _steps(
     out[:, 0] = x0
     x = x0
     half_dt2 = 0.5 * dt * dt
+    drift = fields.drift
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            v0x = fields.v0(x)
-            vx = fields.v(x)
-            dvx = fields.first_derivatives(x).reshape(m, n, n * d)
-            dx = (v0x * dt + (fields.drift_derivatives(x) @ v0x[..., None])[..., 0] * half_dt2
-                  + (vx @ b1[:, k, :, None])[..., 0])
+            jet = fields.jet(x, len(levels))
+            vx, dvx = jet[0], jet[1].reshape(m, n, n * d)
+            dx = (vx @ b1[:, k, :, None])[..., 0]
+            if drift is not None:
+                v0x, dv0x = drift(x)
+                dx = v0x * dt + (dv0x @ v0x[..., None])[..., 0] * half_dt2 + dx
             c = vx @ b2[:, k]
             dx += (dvx @ c.reshape(m, n * d, 1))[..., 0]
             if b3 is not None:
-                d2vx = fields.second_derivatives(x).reshape(m, n, n * n * d)
+                d2vx = jet[2].reshape(m, n, n * n * d)
                 t1 = (vx @ b3[:, k].reshape(m, d, d * d)).reshape(m, n, d, d)
                 inner = dvx @ t1.reshape(m, n * d, d)
                 dx += (dvx @ inner.reshape(m, n * d, 1))[..., 0]
@@ -167,8 +172,9 @@ def solve(
     """One state per grid point of the driver.
 
     The step-2 update contracts level-1/level-2 driver increments against V
-    and its first derivatives (plus the drift Taylor pair V0 dt and
-    DV0 V0 dt^2/2); step-3 adds level-3 contractions with second derivatives.
+    and its first derivatives, evaluated together by one ``fields.jet`` call
+    per step, plus the drift Taylor pair V0 dt and DV0 V0 dt^2/2 when the set
+    has a drift; step-3 adds level-3 contractions with second derivatives.
     Deterministic given its inputs; raises SolverError with the step index if
     the state passes the overflow guard or turns NaN.
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,11 +39,7 @@ def test_ellipticity_diagonal_constant():
     fs = VectorFieldSet(
         dim_state=2,
         dim_noise=2,
-        v0=lambda x: zeros(x, 2),
-        v=lambda x: zeros(x, 2, 2) + diag,
-        first_derivatives=lambda x: zeros(x, 2, 2, 2),
-        second_derivatives=lambda x: zeros(x, 2, 2, 2, 2),
-        drift_derivatives=lambda x: zeros(x, 2, 2),
+        jet=lambda x, order: (zeros(x, 2, 2) + diag, zeros(x, 2, 2, 2), zeros(x, 2, 2, 2, 2))[:order],
         constant=True,
     )
     rep = solver.check_ellipticity(fs, 0.2, [np.zeros(2)])
@@ -68,11 +65,7 @@ def test_ellipticity_rejects_nonsquare():
     fs = VectorFieldSet(
         dim_state=2,
         dim_noise=1,
-        v0=lambda x: zeros(x, 2),
-        v=lambda x: zeros(x, 2, 1) + 1.0,
-        first_derivatives=lambda x: zeros(x, 2, 2, 1),
-        second_derivatives=lambda x: zeros(x, 2, 2, 2, 1),
-        drift_derivatives=lambda x: zeros(x, 2, 2),
+        jet=lambda x, order: (zeros(x, 2, 1) + 1.0, zeros(x, 2, 2, 1), zeros(x, 2, 2, 2, 1))[:order],
     )
     with pytest.raises(ValueError, match="square"):
         solver.check_ellipticity(fs, 0.1, [np.zeros(2)])
@@ -153,11 +146,8 @@ def test_solve_overflow_guard_reports_step():
     blow = VectorFieldSet(
         dim_state=1,
         dim_noise=1,
-        v0=lambda x: x**2,
-        v=lambda x: zeros(x, 1, 1),
-        first_derivatives=lambda x: zeros(x, 1, 1, 1),
-        second_derivatives=lambda x: zeros(x, 1, 1, 1, 1),
-        drift_derivatives=lambda x: 2 * x[..., None],
+        jet=lambda x, order: (zeros(x, 1, 1), zeros(x, 1, 1, 1), zeros(x, 1, 1, 1, 1))[:order],
+        drift=lambda x: (x**2, 2 * x[..., None]),
     )
     flat = SamplePath(TimeGrid(129, 0.0, 1.0), np.zeros((129, 1)))
     sig = rp.lift_path(flat, 2)
@@ -171,11 +161,8 @@ def test_solve_nan_state_reports_step():
     nan_past_half = VectorFieldSet(
         dim_state=1,
         dim_noise=1,
-        v0=lambda x: np.where(x > 0.5, np.nan, 1.0),
-        v=lambda x: zeros(x, 1, 1),
-        first_derivatives=lambda x: zeros(x, 1, 1, 1),
-        second_derivatives=lambda x: zeros(x, 1, 1, 1, 1),
-        drift_derivatives=lambda x: zeros(x, 1, 1),
+        jet=lambda x, order: (zeros(x, 1, 1), zeros(x, 1, 1, 1), zeros(x, 1, 1, 1, 1))[:order],
+        drift=lambda x: (np.where(x > 0.5, np.nan, 1.0), zeros(x, 1, 1)),
     )
     flat = SamplePath(TimeGrid(129, 0.0, 1.0), np.zeros((129, 1)))
     sig = rp.lift_path(flat, 2)
@@ -241,6 +228,189 @@ def test_convergence_probe_elliptic_step3():
         coarse = solver.solve(fs, np.zeros(2), rp.coarsen(sig, factor), scheme).values
         errs.append(float(np.abs(coarse - reference[::factor]).max()))
     assert all(b < a for a, b in zip(errs, errs[1:]))
+
+
+# ------------------------------------------------------ derivative oracles
+
+CATALOG_DIMS = [("identity", 2), ("identity", 3), ("geometric_1d", 1),
+                ("elliptic_sin_2d", 2), ("drift_only", 2), ("drift_only", 3)]
+
+
+def central_difference(f, x, axis, h=1e-5):
+    """d f / d x_l by central differences, with the new axis l at ``axis`` of the result."""
+    return np.stack([(f(x + e) - f(x - e)) / (2 * h) for e in h * np.eye(x.shape[-1])], axis=axis)
+
+
+@pytest.mark.parametrize("name, dim", CATALOG_DIMS)
+@pytest.mark.parametrize("lead", [(), (5,)])
+def test_catalog_derivatives_match_central_differences(name, dim, lead):
+    fs = fields.resolve_fields(name, dim)
+    x = np.random.default_rng(11).uniform(-2, 2, size=lead + (dim,))
+    v, dv, d2v = fs.jet(x, 3)
+    assert v.shape == lead + (dim, dim) and d2v.shape == lead + (dim,) * 4
+    # DV[i, l, j] = d V[i, j] / d x_l and D2V[i, m, l, j] = d DV[i, l, j] / d x_m
+    np.testing.assert_allclose(dv, central_difference(fs.v, x, -2), rtol=1e-6, atol=1e-10)
+    np.testing.assert_allclose(d2v, central_difference(fs.first_derivatives, x, -3),
+                               rtol=1e-6, atol=1e-10)
+    for order in (1, 2, 3):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(fs.jet(x, order), (v, dv, d2v)))
+        assert len(fs.jet(x, order)) == order
+    if fs.drift is None:
+        assert not fs.v0(x).any() and fs.v0(x).shape == lead + (dim,)
+    else:
+        dv0 = fs.drift(x)[1]
+        np.testing.assert_allclose(dv0, central_difference(fs.v0, x, -1), rtol=1e-6, atol=1e-10)
+
+
+def test_shape_error_names_the_piece():
+    _, sig2 = brownian_driver(8, 2, seed=0)
+    _, sig3 = brownian_driver(8, 2, seed=0, h=0.3, depth=3)
+    zero_jet = fields.make_drift_only(2).jet
+    cases = [
+        (lambda x, order: (zeros(x, 2, 2), zeros(x, 2, 2))[:order], None, sig2, "^DV must have shape"),
+        (lambda x, order: zero_jet(x, 2), None, sig3, r"^jet\(x, 3\) must return 3 arrays"),
+        (zero_jet, lambda x: (zeros(x, 2), zeros(x, 2)), sig2, "^DV0 must have shape"),
+    ]
+    for jet, drift, sig, message in cases:
+        fs = VectorFieldSet(dim_state=2, dim_noise=2, jet=jet, drift=drift)
+        with pytest.raises(ValueError, match=message):
+            solver.solve(fs, np.zeros(2), sig, solver.scheme_for(sig.hurst))
+
+
+# ---------------------------------------- reference: five callables per set
+
+def reference_catalog(name, dim):
+    """The catalog as five separate callables (V0, V, DV, D2V, DV0), written slot by slot."""
+    if name == "identity":
+        eye = np.eye(dim)
+        return SimpleNamespace(
+            dim_state=dim,
+            v0=lambda x: zeros(x, dim),
+            v=lambda x: zeros(x, dim, dim) + eye,
+            first_derivatives=lambda x: zeros(x, dim, dim, dim),
+            second_derivatives=lambda x: zeros(x, dim, dim, dim, dim),
+            drift_derivatives=lambda x: zeros(x, dim, dim),
+        )
+    if name == "geometric_1d":
+        sigma = 1.0
+
+        def v(x):
+            out = np.empty(x.shape[:-1] + (1, 1))
+            out[..., 0, 0] = sigma * x[..., 0]
+            return out
+
+        return SimpleNamespace(
+            dim_state=1,
+            v0=lambda x: zeros(x, 1),
+            v=v,
+            first_derivatives=lambda x: zeros(x, 1, 1, 1) + sigma,
+            second_derivatives=lambda x: zeros(x, 1, 1, 1, 1),
+            drift_derivatives=lambda x: zeros(x, 1, 1),
+        )
+    if name == "elliptic_sin_2d":
+        def v(x):
+            s, c = np.sin(x), np.cos(x)
+            out = np.empty(x.shape[:-1] + (2, 2))
+            out[..., 0, 0] = 1.0 + 0.1 * s[..., 1]
+            out[..., 0, 1] = 0.1 * c[..., 1]
+            out[..., 1, 0] = 0.1 * s[..., 0]
+            out[..., 1, 1] = 1.0 + 0.1 * c[..., 0]
+            return out
+
+        def dv(x):
+            s, c = np.sin(x), np.cos(x)
+            out = zeros(x, 2, 2, 2)
+            out[..., 0, 1, 0] = 0.1 * c[..., 1]
+            out[..., 0, 1, 1] = -0.1 * s[..., 1]
+            out[..., 1, 0, 0] = 0.1 * c[..., 0]
+            out[..., 1, 0, 1] = -0.1 * s[..., 0]
+            return out
+
+        def d2v(x):
+            s, c = np.sin(x), np.cos(x)
+            out = zeros(x, 2, 2, 2, 2)
+            out[..., 0, 1, 1, 0] = -0.1 * s[..., 1]
+            out[..., 0, 1, 1, 1] = -0.1 * c[..., 1]
+            out[..., 1, 0, 0, 0] = -0.1 * s[..., 0]
+            out[..., 1, 0, 0, 1] = -0.1 * c[..., 0]
+            return out
+
+        return SimpleNamespace(
+            dim_state=2,
+            v0=lambda x: zeros(x, 2),
+            v=v,
+            first_derivatives=dv,
+            second_derivatives=d2v,
+            drift_derivatives=lambda x: zeros(x, 2, 2),
+        )
+    assert name == "drift_only"
+
+    def v0(x):
+        return 0.5 * np.sin(np.roll(x, -1, axis=-1)) + 0.3 * np.cos(x)
+
+    def dv0(x):
+        out = zeros(x, dim, dim)
+        rolled = 0.5 * np.cos(np.roll(x, -1, axis=-1))
+        sin_x = np.sin(x)
+        for i in range(dim):
+            out[..., i, (i + 1) % dim] += rolled[..., i]
+            out[..., i, i] += -0.3 * sin_x[..., i]
+        return out
+
+    return SimpleNamespace(
+        dim_state=dim,
+        v0=v0,
+        v=lambda x: zeros(x, dim, dim),
+        first_derivatives=lambda x: zeros(x, dim, dim, dim),
+        second_derivatives=lambda x: zeros(x, dim, dim, dim, dim),
+        drift_derivatives=dv0,
+    )
+
+
+def reference_steps(fields, x0, levels, dt):
+    """The time loop with five field calls per step, the drift pair always added."""
+    b1, b2 = levels[0], levels[1]
+    b3 = levels[2] if len(levels) >= 3 else None
+    m, n_steps, d = b1.shape
+    n = fields.dim_state
+    out = np.empty((m, n_steps + 1, n))
+    out[:, 0] = x0
+    x = x0
+    half_dt2 = 0.5 * dt * dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            v0x = fields.v0(x)
+            vx = fields.v(x)
+            dvx = fields.first_derivatives(x).reshape(m, n, n * d)
+            dx = (v0x * dt + (fields.drift_derivatives(x) @ v0x[..., None])[..., 0] * half_dt2
+                  + (vx @ b1[:, k, :, None])[..., 0])
+            c = vx @ b2[:, k]
+            dx += (dvx @ c.reshape(m, n * d, 1))[..., 0]
+            if b3 is not None:
+                d2vx = fields.second_derivatives(x).reshape(m, n, n * n * d)
+                t1 = (vx @ b3[:, k].reshape(m, d, d * d)).reshape(m, n, d, d)
+                inner = dvx @ t1.reshape(m, n * d, d)
+                dx += (dvx @ inner.reshape(m, n * d, 1))[..., 0]
+                u = np.einsum("...lb,...mbc->...mlc", vx, t1)
+                dx += (d2vx @ u.reshape(m, n * n * d, 1))[..., 0]
+            x = x + dx
+            out[:, k + 1] = x
+    return out
+
+
+@pytest.mark.parametrize("name, dim", [("identity", 2), ("geometric_1d", 1),
+                                       ("elliptic_sin_2d", 2), ("drift_only", 2)])
+@pytest.mark.parametrize("h, factor", [(0.75, 1), (0.3, 4)])  # step 2; step 3 on a coarsened lift
+@pytest.mark.parametrize("m", [1, 8])
+def test_time_loop_matches_five_callable_reference(name, dim, h, factor, m):
+    depth = solver.scheme_for(h).depth
+    paths = [fbm.generate_circulant(TimeGrid(257, 0.0, 1.0), dim, h, seed=50 + j) for j in range(m)]
+    sig = rp.coarsen(rp.lift_path(paths, depth), factor)
+    levels = sig.levels[:depth]
+    starts = np.linspace(0.1, 0.8, m * dim).reshape(m, dim)
+    got = solver._steps(fields.resolve_fields(name, dim), starts, levels, sig.grid.spacing)
+    want = reference_steps(reference_catalog(name, dim), starts, levels, sig.grid.spacing)
+    assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------------- catalog
