@@ -14,13 +14,13 @@ from __future__ import annotations
 import numbers
 import os
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .fbm import (CHOLESKY_MAX_N, HurstParam, SamplePath, TimeGrid, generate_cholesky,
-                  generate_circulant)
+from .fbm import (CHOLESKY_MAX_N, HurstParam, SamplePath, TimeGrid, _circulant_values,
+                  generate_cholesky, generate_circulant)
 from .fields import VectorFieldSet, resolve_fields
 from .roughpath import lift_path
 from .solver import SolverScheme, _constant_field_path, scheme_for, solve
@@ -68,10 +68,11 @@ ALL_TASKS = tuple(TASK_PARAMS)
 #: most states (members x grid points) one block solve holds at once, which
 #: bounds its memory; 2^20 is 16 members of the 2^16-step configs
 _BLOCK_STATES = 2**20
-#: the same for one stacked exact path of constant fields.  Its states are cheap,
-#: but each member carries its driver and solution objects: 10^4 members of 64
-#: steps at once cost 8 MB more peak memory than 2^16 states at a time, and ran
-#: no faster.  At 2^16 steps a chunk is one member.
+#: the same for one stacked exact path of constant fields.  A chunk is a few
+#: arrays of its states (the draw, its FFT buffer, the path); the per-member
+#: objects are gone, so chunk size trades peak memory against per-chunk calls.
+#: On the many_members benchmark 2^18 states ran 5-10 % faster than 2^16 but
+#: raised peak memory by up to 0.5 MB.  At 2^16 steps a chunk is one member.
 _CONSTANT_STATES = 2**16
 
 
@@ -296,76 +297,85 @@ def member_seed(spec: ExperimentSpec, index: int) -> int:
     return spec.base_seed + index
 
 
-def generate_driver(spec: ExperimentSpec, index: int | Sequence[int]) -> SamplePath | list:
-    """Member ``index``'s driver, or one driver per index of a sequence.
+def generate_driver(
+    spec: ExperimentSpec, index: int | Sequence[int]
+) -> SamplePath | np.ndarray:
+    """Member ``index``'s driver, or for a sequence of indices their drivers'
+    values stacked as one (k, n_points, d) array.
 
     A sequence is drawn in one circulant call (Cholesky draws member by member);
-    each driver is bit-identical to its own draw.
+    each row is bit-identical to its member's own draw.
     """
-    one = isinstance(index, numbers.Integral)
-    seeds = [member_seed(spec, i) for i in ([index] if one else index)]
+    if isinstance(index, numbers.Integral):
+        draw = generate_cholesky if spec.generator == "cholesky" else generate_circulant
+        return draw(spec.grid, spec.dim, spec.hurst, member_seed(spec, index))
+    seeds = [member_seed(spec, i) for i in index]
     if spec.generator == "cholesky":
-        paths = [generate_cholesky(spec.grid, spec.dim, spec.hurst, s) for s in seeds]
-    else:
-        paths = generate_circulant(spec.grid, spec.dim, spec.hurst, seeds)
-    return paths[0] if one else paths
+        return np.stack([generate_cholesky(spec.grid, spec.dim, spec.hurst, s).values
+                         for s in seeds])
+    return _circulant_values(spec.grid, spec.dim, spec.hurst, seeds)
 
 
-def _draw_chunk(spec: ExperimentSpec, chunk: list[int]) -> list:
-    """Each member's driver, drawn together; if that draw raises, each member is
-    drawn alone, so a failing draw fails its member alone (as its exception)."""
+def _draw_chunk(spec: ExperimentSpec, chunk: list[int]) -> tuple[list[int], np.ndarray, dict]:
+    """The chunk's drivers as (drawn indices, (k, n_points, d) values, {index: exception}).
+
+    If the one draw raises, each member is drawn alone, so a failing draw fails
+    its member alone.
+    """
     try:
-        return generate_driver(spec, chunk)
+        return chunk, generate_driver(spec, chunk), {}
     except Exception:  # redrawn member by member below
         pass
-    drivers = []
+    drawn, rows, failed = [], [], {}
     for i in chunk:
         try:
-            drivers.append(generate_driver(spec, i))
+            rows.append(generate_driver(spec, i).values)
+            drawn.append(i)
         except Exception as exc:  # this member fails; the block goes on
-            drivers.append(exc)
-    return drivers
+            failed[i] = exc
+    return drawn, np.array(rows).reshape(len(rows), spec.grid.n_points, spec.dim), failed
 
 
-def _solve_chunk(spec: ExperimentSpec, fs: VectorFieldSet, chunk: list[int]) -> list:
-    """Each member's seed-tagged solution, or the exception that failed it alone."""
-    out = dict(zip(chunk, _draw_chunk(spec, chunk)))
-    drawn = [i for i in chunk if not isinstance(out[i], Exception)]
+def _solve_chunk(
+    spec: ExperimentSpec, fs: VectorFieldSet, chunk: list[int]
+) -> tuple[list[int], np.ndarray, dict]:
+    """One chunk's (surviving indices, their (k, n_points, d) states, {index: exception})."""
+    drawn, paths, failed = _draw_chunk(spec, chunk)
+    starts = np.zeros((len(drawn), fs.dim_state))
     if drawn and fs.constant:
-        # the exact path, stacked; the lift's cumulative sums would round differently.
-        # Popping the drivers lets their draws go once the stack holds them.
-        paths = np.stack([out.pop(i).values for i in drawn])
-        starts = np.zeros((len(drawn), fs.dim_state))
-        grid, hurst = spec.grid, HurstParam(spec.hurst)
-        for i, values in zip(drawn, _constant_field_path(fs, starts, paths, grid)):
-            out[i] = SamplePath(grid, values, hurst=hurst, seed=member_seed(spec, i))
+        # the exact path, stacked; the lift's cumulative sums would round differently
+        paths = _constant_field_path(fs, starts, paths, spec.grid)
     elif drawn:
-        scheme = SolverScheme(spec.scheme)
-        lifted = lift_path([out[i] for i in drawn], scheme.depth)
-        sols = solve(fs, np.zeros((len(drawn), fs.dim_state)), lifted, scheme)
-        for i, sol in zip(drawn, sols):
-            out[i] = sol if isinstance(sol, Exception) else replace(sol, seed=member_seed(spec, i))
-    return [out[i] for i in chunk]
+        scheme, hurst = SolverScheme(spec.scheme), HurstParam(spec.hurst)
+        lifted = lift_path([SamplePath(spec.grid, p, hurst=hurst) for p in paths], scheme.depth)
+        del paths  # the lift holds the draws' increments
+        sols = solve(fs, starts, lifted, scheme)
+        del lifted
+        failed.update((i, sol) for i, sol in zip(drawn, sols) if isinstance(sol, Exception))
+        drawn = [i for i in drawn if i not in failed]
+        paths = np.array([sol.values for sol in sols if not isinstance(sol, Exception)])
+        paths = paths.reshape(len(drawn), spec.grid.n_points, fs.dim_state)
+    return drawn, paths, failed
 
 
 def solve_block(
     spec: ExperimentSpec, indices, fields_name: str | None = None
-) -> Iterator[tuple[int, SamplePath | Exception]]:
-    """Generate -> lift -> solve from 0 for each member, seed-tagged, in index order.
+) -> Iterator[tuple[list[int], np.ndarray, dict]]:
+    """Generate -> lift -> solve from 0 for each member, a chunk at a time, in index order.
 
-    Yields (index, solution), or (index, exception) for a member that failed
-    alone.  Members go a chunk at a time: one driver draw for the chunk, then
-    one solve of up to ``_BLOCK_STATES`` states in one time loop, or for
-    constant field sets (identity) one stacked exact path of up to
-    ``_CONSTANT_STATES`` states, which needs no lift.  Each member's solution
-    is bit-identical to its solve alone.
+    Yields one triple per chunk: the surviving indices, their states as one
+    (k, n_points, d) array, and {index: exception} for the members that failed
+    alone.  A chunk is one driver draw, then one solve of up to
+    ``_BLOCK_STATES`` states in one time loop, or for constant field sets
+    (identity) one stacked exact path of up to ``_CONSTANT_STATES`` states,
+    which needs no lift.  Each member's states are bit-identical to its solve
+    alone.
     """
     fs = resolve_fields(fields_name or spec.fields[0], spec.dim)
     indices = list(indices)
     size = max(1, (_CONSTANT_STATES if fs.constant else _BLOCK_STATES) // spec.grid.n_points)
     for a in range(0, len(indices), size):
-        chunk = indices[a:a + size]
-        yield from zip(chunk, _solve_chunk(spec, fs, chunk))
+        yield _solve_chunk(spec, fs, indices[a:a + size])
 
 
 def solve_member(
@@ -374,7 +384,9 @@ def solve_member(
     fields_name: str | None = None,
 ) -> SamplePath:
     """One member's solution, the one-member case of ``solve_block``; raises what failed it."""
-    [sol] = _solve_chunk(spec, resolve_fields(fields_name or spec.fields[0], spec.dim), [index])
-    if isinstance(sol, Exception):
-        raise sol
-    return sol
+    fs = resolve_fields(fields_name or spec.fields[0], spec.dim)
+    _, states, failed = _solve_chunk(spec, fs, [index])
+    if failed:
+        raise failed[index]
+    return SamplePath(spec.grid, states[0], hurst=HurstParam(spec.hurst),
+                      seed=member_seed(spec, index))

@@ -101,10 +101,10 @@ def _ensemble_samples_at(spec: ExperimentSpec, times: tuple[float, ...]) -> np.n
     grid = spec.grid
     idx = [int(round((t - grid.t_start) / grid.spacing)) for t in times]
     out = np.empty((spec.ensemble, len(times), spec.dim))
-    for k, sol in solve_block(spec, range(spec.ensemble)):
-        if isinstance(sol, Exception):
-            raise sol
-        out[k] = sol.values[idx]
+    for done, states, failed in solve_block(spec, range(spec.ensemble)):
+        for exc in failed.values():
+            raise exc
+        out[done] = states[:, idx]
     return out
 
 

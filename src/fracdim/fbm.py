@@ -181,6 +181,26 @@ def component_rng(seed: int, component: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _stream_normals(seeds: Sequence[int], d: int, size: int) -> np.ndarray:
+    """(len(seeds), d, size) standard normals; row (k, j) is what
+    ``component_rng(seeds[k], j).standard_normal(size)`` draws.
+
+    Philox is counter-based and keyed, so one generator re-keyed for each
+    stream, with counter 0 and an empty buffer, replaces a generator per stream.
+    """
+    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    normal = np.random.Generator(bits).standard_normal
+    empty = np.zeros(4, dtype=np.uint64)
+    out = np.empty((len(seeds), d, size))
+    for k, s in enumerate(seeds):
+        for j in range(d):
+            key = np.array([s % 2**64, j], dtype=np.uint64)
+            bits.state = {"bit_generator": "Philox", "state": {"counter": empty, "key": key},
+                          "buffer": empty, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            normal(out=out[k, j])
+    return out
+
+
 def covariance(s: float, t: float, h: HurstParam | float) -> float:
     """fBm covariance (s^2H + t^2H - |t-s|^2H) / 2 of one component."""
     H = _hurst_value(h)
@@ -277,11 +297,7 @@ def generate_cholesky(
     if grid.n_points > CHOLESKY_MAX_N:
         raise ValueError(f"grid exceeds {CHOLESKY_MAX_N} points; use generate_circulant")
     _, L = _grid_factorization(grid, H)
-    npos = L.shape[0]
-    z = np.empty((npos, d))
-    for j in range(d):
-        z[:, j] = component_rng(seed, j).standard_normal(npos)
-    v = L @ z
+    v = L @ _stream_normals([seed], d, L.shape[0])[0].T.copy()
     if grid.t_start == 0.0:
         v = np.vstack([np.zeros((1, d)), v])
     return SamplePath(grid, v, hurst=HurstParam(H), seed=seed)
@@ -312,24 +328,20 @@ def _embedding_eigenvalues(H: float, m: int) -> np.ndarray:
     return lam
 
 
-def generate_circulant(
-    grid: TimeGrid, d: int, h: HurstParam | float, seed: int | Sequence[int]
-) -> SamplePath | list[SamplePath]:
-    """O(n log n) fBm sample via circulant embedding of the increment covariance.
+def _circulant_values(
+    grid: TimeGrid, d: int, h: HurstParam | float, seeds: Sequence[int]
+) -> np.ndarray:
+    """The circulant draws of ``seeds`` as one (len(seeds), n_points, d) array.
 
-    Distributionally equivalent to generate_cholesky; requires a grid starting
-    at zero so increments form stationary fractional Gaussian noise.  A
-    sequence of seeds gives one path per seed: each (seed, component) stream is
-    drawn as for that seed alone, and the draws of up to ``_GROUP_VALUES``
-    embedding values are transformed in one FFT, so each path is bit-identical
-    to its own call.
+    Each (seed, component) stream is ``component_rng``'s (``_stream_normals``).
+    The draws of up to ``_GROUP_VALUES`` embedding values are transformed in
+    one FFT; each row is bit-identical to a draw of its seed alone.
     """
     H = _hurst_value(h)
     if d < 1:
         raise ValueError("d must be >= 1")
     if grid.t_start != 0.0:
         raise ValueError("circulant synthesis requires a grid starting at 0")
-    seeds = [seed] if isinstance(seed, numbers.Integral) else list(seed)
     m = grid.n_points - 1
     lam = _embedding_eigenvalues(H, m)
     M = lam.size
@@ -337,13 +349,10 @@ def generate_circulant(
     scale = np.sqrt(lam)
     step = grid.spacing**H
     size = max(1, _GROUP_VALUES // (d * M))
-    paths = []
+    values = np.zeros((len(seeds), m + 1, d))
     for a in range(0, len(seeds), size):
         group = seeds[a:a + size]
-        draws = np.empty((len(group), d, M))
-        for k, s in enumerate(group):
-            for j in range(d):
-                draws[k, j] = component_rng(s, j).standard_normal(M)
+        draws = _stream_normals(group, d, M)
         z = np.empty(draws.shape, dtype=complex)
         z[..., 0] = draws[..., 0]
         z[..., half] = draws[..., 1]
@@ -354,9 +363,25 @@ def generate_circulant(
         z *= scale
         z = np.fft.ifft(z, axis=-1)
         z *= math.sqrt(M)
-        values = np.zeros((len(group), d, m + 1))
-        np.cumsum(z.real[..., :m] * step, axis=-1, out=values[..., 1:])
-        paths += [SamplePath(grid, v.T, hurst=HurstParam(H), seed=s) for s, v in zip(group, values)]
+        out = values[a:a + len(group), 1:].transpose(0, 2, 1)
+        np.cumsum(z.real[..., :m] * step, axis=-1, out=out)
+    return values
+
+
+def generate_circulant(
+    grid: TimeGrid, d: int, h: HurstParam | float, seed: int | Sequence[int]
+) -> SamplePath | list[SamplePath]:
+    """O(n log n) fBm sample via circulant embedding of the increment covariance.
+
+    Distributionally equivalent to generate_cholesky; requires a grid starting
+    at zero so increments form stationary fractional Gaussian noise.  A
+    sequence of seeds gives one path per seed, each bit-identical to its own
+    call (see ``_circulant_values``).
+    """
+    H = _hurst_value(h)
+    seeds = [seed] if isinstance(seed, numbers.Integral) else list(seed)
+    values = _circulant_values(grid, d, H, seeds)
+    paths = [SamplePath(grid, v, hurst=HurstParam(H), seed=s) for s, v in zip(seeds, values)]
     return paths[0] if isinstance(seed, numbers.Integral) else paths
 
 

@@ -12,10 +12,11 @@ cannot use (``spec.check_task``) before any member is solved.
 It sends one contiguous block of members to each of the ``jobs`` workers; a
 block is drawn and solved a chunk at a time (``config.solve_block``: one
 driver draw, then one time loop, or one stacked exact path for constant
-fields), and each member's solution then goes to the task's per-member
-worker.  Member seeds are base_seed + index, and a member's solution does not
-depend on the block it is solved in, so parallel execution order can never
-change a result.
+fields), and each chunk's states go to the task's worker as one
+(members, n_points, d) array.  Tail, density and bivariate reduce or slice
+the array; the other workers read it row by row.  Member seeds are
+base_seed + index, and a member's solution does not depend on the block or
+chunk it is solved in, so parallel execution order can never change a result.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from scipy import stats as sps
 from . import __version__, density as dl, dimension as dm
 from .config import ALL_TASKS, ExperimentSpec, generate_driver, member_seed, solve_block
 from .config import solve_member  # noqa: F401  bound for the benchmark's tracer (bench/spans.py)
-from .fbm import write_path
+from .fbm import HurstParam, SamplePath, write_path
 from .fields import resolve_fields
 from .solver import check_ellipticity
 
@@ -69,6 +70,11 @@ class Verdict:
         return doc
 
 
+def _judged(claim: str, measured: str, window: str, ok, **extras) -> Verdict:
+    """The verdict on a claim: pass when ``ok``, else fail."""
+    return Verdict(claim, measured, window, "pass" if ok else "fail", extras)
+
+
 @dataclass
 class RunReport:
     spec: dict
@@ -93,22 +99,36 @@ class RunReport:
 
 
 def _run_block(worker, spec: ExperimentSpec, indices, args, fields=None):
-    """``worker`` over each member of one block: ({index: result}, {seed: error}).
+    """``worker`` over the members of one block: ([(indices, results)], {seed: error}).
 
-    The worker is called as ``worker(spec, index, *args)``; with ``fields`` the
-    block is first solved under that field set and it is called as
-    ``worker(spec, index, solution, *args)``.
+    The worker is called as ``worker(spec, indices, states, *args)`` and returns
+    one result per index.  With ``fields`` the block is solved under that field
+    set a chunk at a time (``solve_block``) and the worker takes each chunk's
+    survivors with their (k, n_points, d) states; without, it takes the whole
+    block and ``states`` is None.  If a call raises, the worker is called again
+    on each of its members alone, so a failure is tallied under its member only.
+    Results stay as the worker returned them, one entry per call, which keeps a
+    chunk's array one object when it is sent back from a worker process.
     """
-    results, failures = {}, {}
-    members = ((i, None) for i in indices) if fields is None else solve_block(spec, indices, fields)
-    for i, sol in members:
+    parts, failures = [], {}
+
+    def fail(i, exc):
+        failures[member_seed(spec, i)] = f"{type(exc).__name__}: {exc}"
+
+    chunks = [(list(indices), None, {})] if fields is None else solve_block(spec, indices, fields)
+    for done, states, failed in chunks:
+        for i, exc in failed.items():
+            fail(i, exc)
         try:
-            if isinstance(sol, Exception):
-                raise sol
-            results[i] = worker(spec, i, *args) if fields is None else worker(spec, i, sol, *args)
-        except Exception as exc:  # tallied, aborts only past the rate cap
-            failures[member_seed(spec, i)] = f"{type(exc).__name__}: {exc}"
-    return results, failures
+            parts.append((done, worker(spec, done, states, *args)))
+        except Exception:  # called again member by member, so a failure is its member's alone
+            for r, i in enumerate(done):
+                row = None if states is None else states[r:r + 1]
+                try:
+                    parts.append(([i], worker(spec, [i], row, *args)))
+                except Exception as exc:  # tallied, aborts only past the rate cap
+                    fail(i, exc)
+    return parts, failures
 
 
 def _member_map(worker, spec: ExperimentSpec, indices, jobs: int, *args, fields=None):
@@ -120,23 +140,25 @@ def _member_map(worker, spec: ExperimentSpec, indices, jobs: int, *args, fields=
     """
     indices = list(indices)
     if jobs <= 1:
-        results, failures = _run_block(worker, spec, indices, args, fields)
+        parts, failures = _run_block(worker, spec, indices, args, fields)
     else:
         n_blocks = min(len(indices), jobs)
         q, r = divmod(len(indices), n_blocks)  # the first r blocks take one member more
         bounds = [j * q + min(j, r) for j in range(n_blocks + 1)]
         blocks = [indices[a:b] for a, b in zip(bounds, bounds[1:])]
-        results, failures = {}, {}
+        parts, failures = [], {}
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_block, worker, spec, b, args, fields) for b in blocks]
             for block, fut in zip(blocks, futures):
                 try:
-                    block_results, block_failures = fut.result()
-                    results.update(block_results)
+                    block_parts, block_failures = fut.result()
+                    parts += block_parts
                 except Exception as exc:  # its process died: each member of the block fails
                     error = f"{type(exc).__name__}: {exc}"
                     block_failures = {member_seed(spec, i): error for i in block}
                 failures.update(block_failures)
+    results = {i: result for done, out in parts for i, result in zip(done, out)}
+    failures = dict(sorted(failures.items()))  # a chunk's draw failures precede its worker's
     if len(failures) > MEMBER_FAILURE_RATE * max(len(indices), 1):
         sample = list(failures.items())[:3]
         raise RunError(f"{len(failures)} member failures, e.g. {sample}")
@@ -145,52 +167,75 @@ def _member_map(worker, spec: ExperimentSpec, indices, jobs: int, *args, fields=
 
 # ----------------------------------------------------------- member workers
 
-def _write_worker(spec, k, path, dest_dir):
-    """Write member k's path, its driver or its solution, as .frd."""
-    dest = dest_dir / f"member_{k:06d}.frd"
-    write_path(path, dest)
-    return str(dest)
+def _paths(spec, indices, states):
+    """Each row of ``states`` as its member's seed-tagged path."""
+    hurst = HurstParam(spec.hurst)
+    return (SamplePath(spec.grid, row, hurst=hurst, seed=member_seed(spec, k))
+            for k, row in zip(indices, states))
 
 
-def _write_driver(spec, k, dest_dir):
-    return _write_worker(spec, k, generate_driver(spec, k), dest_dir)
+def _write_worker(spec, indices, states, dest_dir):
+    """Write each member's solution as .frd, or without ``states`` its driver."""
+    if states is None:
+        paths = (generate_driver(spec, k) for k in indices)
+    else:
+        paths = _paths(spec, indices, states)
+    files = []
+    for k, path in zip(indices, paths):
+        files.append(str(dest_dir / f"member_{k:06d}.frd"))
+        write_path(path, files[-1])
+    return files
 
 
-def _dim_worker(spec, k, sol, octaves, kind):
+def _dim_worker(spec, indices, states, octaves, kind):
     to_cloud = dm.image_cloud if kind == "dim_image" else dm.graph_cloud
-    return dm._anchored_slope(to_cloud(sol), octaves)
+    return [dm._anchored_slope(to_cloud(sol), octaves) for sol in _paths(spec, indices, states)]
 
 
-def _levelset_worker(spec, k, sol, restrict):
-    sol = sol.restrict(*restrict)
-    eta = dm.tube_floor(sol)
+def _levelset_worker(spec, indices, states, restrict):
     level = np.zeros(spec.dim)  # the start point of the pinned system
-    ls = dm.extract_level_set(sol, level, eta)
-    return ls.times, eta
+    out = []
+    for sol in _paths(spec, indices, states):
+        sol = sol.restrict(*restrict)
+        eta = dm.tube_floor(sol)
+        out.append((dm.extract_level_set(sol, level, eta).times, eta))
+    return out
 
 
-def _hit_worker(spec, k, sol, restrict):
-    """The member's closest approach to the level, and its tube floor."""
-    sol = sol.restrict(*restrict)
-    dist = np.sqrt((sol.values**2).sum(axis=1))
-    return dist.min(), dm.tube_floor(sol)
+def _hit_worker(spec, indices, states, restrict):
+    """Each member's closest approach to the level, and its tube floor."""
+    out = []
+    for sol in _paths(spec, indices, states):
+        sol = sol.restrict(*restrict)
+        out.append((np.sqrt((sol.values**2).sum(axis=1)).min(), dm.tube_floor(sol)))
+    return out
 
 
-def _energy_worker(spec, k, sol, gammas, factors):
-    return dm.energy_ladder(sol, gammas, factors)
+def _energy_worker(spec, indices, states, gammas, factors):
+    return [dm.energy_ladder(sol, gammas, factors) for sol in _paths(spec, indices, states)]
 
 
-def _mu_worker(spec, k, sol, gamma, sharpness, restrict):
+def _mu_worker(spec, indices, states, gamma, sharpness, restrict):
     level = np.zeros(spec.dim)
-    return [dm.mu_measure(sol, level, n, gamma, restrict) for n in sharpness]
+    return [[dm.mu_measure(sol, level, n, gamma, restrict) for n in sharpness]
+            for sol in _paths(spec, indices, states)]
 
 
 # ----------------------------------------------------------------- the tasks
 
+def _row(spec, estimator, k, param, slope, r2, value) -> dict:
+    """One estimates.csv row, for member k (the base seed for an ensemble estimate)."""
+    return dict(estimator=estimator, H=spec.hurst, d=spec.dim, n_points=spec.n_points,
+                seed=member_seed(spec, k), param=param, slope=slope, r2=r2, value=value)
+
+
+def _write_csv(path, header: str, lines) -> None:
+    path.write_text("".join(f"{line}\n" for line in (header, *lines)), encoding="utf-8")
+
 def _task_generate(spec, jobs, out_dir, results, verdicts, rows):
     path_dir = out_dir / "paths"
     path_dir.mkdir(parents=True, exist_ok=True)
-    files, failures = _member_map(_write_driver, spec, range(spec.ensemble), jobs, path_dir)
+    files, failures = _member_map(_write_worker, spec, range(spec.ensemble), jobs, path_dir)
     results["generate"] = {"files": list(files.values()), "failures": failures}
 
 
@@ -228,20 +273,11 @@ def _dim_task(kind, spec, jobs, out_dir, results, verdicts, rows):
         )
         slopes = [s for s, _ in pairs.values()]
         med = float(np.median(slopes))
-        verdicts.append(
-            Verdict(
-                claim=f"{claim_base} [{fname}]",
-                measured=f"median slope {med:.4f}",
-                window=f"[{target - tol:.4f}, {target + tol:.4f}]",
-                verdict="pass" if abs(med - target) <= tol else "fail",
-            )
-        )
+        verdicts.append(_judged(f"{claim_base} [{fname}]", f"median slope {med:.4f}",
+                                f"[{target - tol:.4f}, {target + tol:.4f}]",
+                                abs(med - target) <= tol))
         info[fname] = {"median_slope": med, "slopes": slopes, "failures": failures}
-        for k, (s, r2) in pairs.items():
-            rows.append(
-                dict(estimator=kind, H=spec.hurst, d=spec.dim, n_points=spec.n_points,
-                     seed=member_seed(spec, k), param=fname, slope=s, r2=r2, value=med)
-            )
+        rows += [_row(spec, kind, k, fname, s, r2, med) for k, (s, r2) in pairs.items()]
     results[kind] = info
 
 
@@ -270,29 +306,16 @@ def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
             n_scales = max(4, int(round(math.log2(hi / floor))) + 1)
             est = dm.box_dimension(cloud, window, n_scales)
             slopes.append(est.slope)
-            rows.append(
-                dict(estimator="levelset", H=spec.hurst, d=spec.dim,
-                     n_points=spec.n_points, seed=member_seed(spec, k), param=f"eta={eta:.3g}",
-                     slope=est.slope, r2=est.r_squared, value=times.size)
-            )
+            rows.append(_row(spec, "levelset", k, f"eta={eta:.3g}", est.slope, est.r_squared,
+                             times.size))
         frac = hits / max(len(out), 1)
         med = float(np.median(slopes)) if slopes else math.nan
-        verdicts.append(
-            Verdict(
-                claim=f"level-set dimension = 1 - dH = {target:.4g} (positive probability)",
-                measured=f"median slope {med:.4f} over {len(slopes)} hitting members",
-                window=f"[{target - tol:.4f}, {target + tol:.4f}]",
-                verdict="pass" if slopes and abs(med - target) <= tol else "fail",
-            )
-        )
-        verdicts.append(
-            Verdict(
-                claim="level-set hitting occurs with positive probability",
-                measured=f"hit fraction {frac:.3f}",
-                window=f">= {hit_floor}",
-                verdict="pass" if frac >= hit_floor else "fail",
-            )
-        )
+        verdicts.append(_judged(
+            f"level-set dimension = 1 - dH = {target:.4g} (positive probability)",
+            f"median slope {med:.4f} over {len(slopes)} hitting members",
+            f"[{target - tol:.4f}, {target + tol:.4f}]", slopes and abs(med - target) <= tol))
+        verdicts.append(_judged("level-set hitting occurs with positive probability",
+                                f"hit fraction {frac:.3f}", f">= {hit_floor}", frac >= hit_floor))
         results["levelset"] = {"hit_fraction": frac, "median_slope": med, "slopes": slopes,
                                "failures": failures}
     else:
@@ -303,26 +326,24 @@ def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
         etas = [eta0 / 2**j for j in range(p["halvings"])]
         fracs = [float(np.mean([dist <= e for dist, _ in out.values()])) for e in etas]
         decreasing = all(b < a for a, b in zip(fracs, fracs[1:]))
-        verdicts.append(
-            Verdict(
-                claim="level set empty a.s. for dH > 1: tube-hit fraction vanishes",
-                measured=f"hit fractions {[round(f, 4) for f in fracs]}",
-                window="strictly decreasing across eta halvings",
-                verdict="pass" if decreasing else "fail",
-            )
-        )
+        verdicts.append(_judged("level set empty a.s. for dH > 1: tube-hit fraction vanishes",
+                                f"hit fractions {[round(f, 4) for f in fracs]}",
+                                "strictly decreasing across eta halvings", decreasing))
         results["levelset"] = {"hit_fractions": fracs, "etas": etas,
                                "failures": failures}
 
 
-def _sup_worker(spec, k, sol, windows):
-    return [dl.sup_increment(sol.values[w]) for w in windows]
+def _sup_worker(spec, indices, states, windows):
+    """Each member's sup-increment over each window; for d = 1, the range along
+    the chunk's time axis, as ``dl.sup_increment`` takes it member by member."""
+    if spec.dim > 1:
+        return [[dl.sup_increment(row[w]) for w in windows] for row in states]
+    cols = [states[:, w, 0] for w in windows]
+    return np.column_stack([col.max(axis=1) - col.min(axis=1) for col in cols])
 
 
-def _state_worker(spec, k, sol, idx):
-    """The member's states at the grid indices ``idx``, as one flat tuple
-    (10^5 of them are cheaper to pickle and hold than as arrays)."""
-    return tuple(sol.values[idx].ravel().tolist())
+def _pair_worker(spec, indices, states, idx):
+    return states[:, idx]
 
 
 def _states_at(spec, jobs, s, t):
@@ -330,7 +351,7 @@ def _states_at(spec, jobs, s, t):
     the spread of the first members' increments; the failures."""
     grid = spec.grid
     idx = [int(round((u - grid.t_start) / grid.spacing)) for u in (s, t)]
-    out, failures = _member_map(_state_worker, spec, range(spec.ensemble), jobs, idx,
+    out, failures = _member_map(_pair_worker, spec, range(spec.ensemble), jobs, idx,
                                 fields=spec.fields[0])
     samples = np.array(list(out.values())).reshape(len(out), 2, spec.dim)
     pilot = samples[:256]  # the first members set the scale of the evaluation grid
@@ -358,22 +379,15 @@ def _task_tail(spec, jobs, out_dir, results, verdicts, rows):
     best, slopes, r2s = dl.fit_tail_exponent(curve, ladder)
     r2_by_exp = dict(zip(ladder, r2s))
     delta = r2_by_exp[expected] - max(r2s)
-    ok = r2_by_exp[expected] >= r2_floor and delta >= -delta_max
-    verdicts.append(
-        Verdict(
-            claim=f"sup-increment tail decays like exp(-c xi^a), a = (2H+1) min 2 = {expected:.3g}",
-            measured=f"best exponent {best}, R2(expected) {r2_by_exp[expected]:.4f}, dR2 {delta:.4f}",
-            window=f"R2 >= {r2_floor} and dR2 >= -{delta_max}",
-            verdict="pass" if ok else "fail",
-            extras={"exponent_tested": expected, "slope": slopes[ladder.index(expected)],
-                    "r2": r2_by_exp[expected]},
-        )
-    )
-    for a, s, r in zip(ladder, slopes, r2s):
-        rows.append(
-            dict(estimator="tail", H=spec.hurst, d=spec.dim, n_points=spec.n_points,
-                 seed=spec.base_seed, param=f"a={a}", slope=s, r2=r, value=float(best))
-        )
+    verdicts.append(_judged(
+        f"sup-increment tail decays like exp(-c xi^a), a = (2H+1) min 2 = {expected:.3g}",
+        f"best exponent {best}, R2(expected) {r2_by_exp[expected]:.4f}, dR2 {delta:.4f}",
+        f"R2 >= {r2_floor} and dR2 >= -{delta_max}",
+        r2_by_exp[expected] >= r2_floor and delta >= -delta_max,
+        exponent_tested=expected, slope=slopes[ladder.index(expected)],
+        r2=r2_by_exp[expected]))
+    rows += [_row(spec, "tail", 0, f"a={a}", s, r, float(best))
+             for a, s, r in zip(ladder, slopes, r2s)]
 
     xi_fixed = float(np.quantile(sups[:, -1], p["xi_quantile"]))
     ps = [float((sups[:, j] >= xi_fixed).mean()) for j in range(halvings)]
@@ -389,14 +403,8 @@ def _task_tail(spec, jobs, out_dir, results, verdicts, rows):
         rank = math.nan
         ok = False
         measured = f"exceedances {[round(p, 4) for p in ps]} (too many empty)"
-    verdicts.append(
-        Verdict(
-            claim="tail probability scales with (t-s)^(-2H) in the exponent",
-            measured=measured,
-            window=f"rank corr >= {rank_floor}, at most one monotonicity inversion",
-            verdict="pass" if ok else "fail",
-        )
-    )
+    verdicts.append(_judged("tail probability scales with (t-s)^(-2H) in the exponent", measured,
+                            f"rank corr >= {rank_floor}, at most one monotonicity inversion", ok))
     results["tail"] = {
         "best_exponent": best,
         "r2_by_exponent": {str(a): r for a, r in r2_by_exp.items()},
@@ -406,10 +414,8 @@ def _task_tail(spec, jobs, out_dir, results, verdicts, rows):
         "rank_corr": rank,
         "failures": failures,
     }
-    with open(out_dir / "tail_curve.csv", "w", encoding="utf-8") as fh:
-        fh.write("xi,log_prob\n")
-        for x, lp in zip(curve.xi_values, curve.log_probs):
-            fh.write(f"{x:.17g},{lp:.17g}\n")
+    _write_csv(out_dir / "tail_curve.csv", "xi,log_prob",
+               (f"{x:.17g},{lp:.17g}" for x, lp in zip(curve.xi_values, curve.log_probs)))
 
 
 def _task_density(spec, jobs, out_dir, results, verdicts, rows):
@@ -429,36 +435,25 @@ def _task_density(spec, jobs, out_dir, results, verdicts, rows):
     z = np.sqrt((est.centers**2).sum(axis=1))
     keep = z > 0.5 * sd
     slope, _, r2 = dl.upper_envelope_fit(z[keep], est.values[keep], expected)
-    ok = slope < 0 and r2 >= env_floor
-    verdicts.append(
-        Verdict(
-            claim=f"increment density decays like exp(-|z|^{expected:.3g} / (C (t-s)^2H))",
-            measured=f"envelope slope {slope:.4f}, R2 {r2:.4f}",
-            window=f"slope < 0 and R2 >= {env_floor}",
-            verdict="pass" if ok else "fail",
-            extras={"exponent_tested": expected, "slope": slope, "r2": r2},
-        )
-    )
+    verdicts.append(_judged(
+        f"increment density decays like exp(-|z|^{expected:.3g} / (C (t-s)^2H))",
+        f"envelope slope {slope:.4f}, R2 {r2:.4f}", f"slope < 0 and R2 >= {env_floor}",
+        slope < 0 and r2 >= env_floor, exponent_tested=expected, slope=slope, r2=r2))
     info = {"envelope_slope": slope, "envelope_r2": r2, "bandwidth": est.bandwidth,
             "failures": failures}
     if spec.fields[0] == "identity" and spec.hurst == 0.5 and spec.dim == 1:
         exact = 1.0 / math.sqrt(2 * math.pi * (t - s))
         mid = float(est.values[int(np.argmin(z))])
         rel = abs(mid - exact) / exact
-        verdicts.append(
-            Verdict(
-                claim="Brownian-case increment density matches the exact Gaussian at the mode",
-                measured=f"kde {mid:.4f} vs exact {exact:.4f} (rel {rel:.4f})",
-                window=f"relative error <= {mode_tol}",
-                verdict="pass" if rel <= mode_tol else "fail",
-            )
-        )
+        verdicts.append(_judged(
+            "Brownian-case increment density matches the exact Gaussian at the mode",
+            f"kde {mid:.4f} vs exact {exact:.4f} (rel {rel:.4f})",
+            f"relative error <= {mode_tol}", rel <= mode_tol))
         info["mode_rel_error"] = rel
     results["density"] = info
-    with open(out_dir / "density_increment.csv", "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"z{j + 1}" for j in range(spec.dim)) + ",value\n")
-        for c, v in zip(est.centers, est.values):
-            fh.write(",".join(f"{x:.17g}" for x in c) + f",{v:.17g}\n")
+    _write_csv(out_dir / "density_increment.csv",
+               ",".join(f"z{j + 1}" for j in range(spec.dim)) + ",value",
+               (",".join(f"{x:.17g}" for x in (*c, v)) for c, v in zip(est.centers, est.values)))
 
 
 def _task_bivariate(spec, jobs, out_dir, results, verdicts, rows):
@@ -475,16 +470,10 @@ def _task_bivariate(spec, jobs, out_dir, results, verdicts, rows):
     rs = np.array([r for r, _ in pairs])
     vs = np.array([v for _, v in pairs])
     sl, _, r2 = dm._line_fit(rs ** (2 * gamma), np.log(np.maximum(vs, 1e-300)))
-    ok = sl < 0 and r2 >= env_floor
-    verdicts.append(
-        Verdict(
-            claim=f"joint density decays like exp(-|z1-z2|^(2 gamma) / (C (t-s)^(2 gamma^2))), gamma = 0.9 H",
-            measured=f"profile slope {sl:.4f}, R2 {r2:.4f}",
-            window=f"slope < 0 and R2 >= {env_floor}",
-            verdict="pass" if ok else "fail",
-            extras={"exponent_tested": 2 * gamma, "slope": sl, "r2": r2},
-        )
-    )
+    verdicts.append(_judged(
+        "joint density decays like exp(-|z1-z2|^(2 gamma) / (C (t-s)^(2 gamma^2))), gamma = 0.9 H",
+        f"profile slope {sl:.4f}, R2 {r2:.4f}", f"slope < 0 and R2 >= {env_floor}",
+        sl < 0 and r2 >= env_floor, exponent_tested=2 * gamma, slope=sl, r2=r2))
     info = {"profile_slope": sl, "profile_r2": r2, "pairs": [[r, v] for r, v in pairs],
             "failures": failures}
     if spec.fields[0] == "identity" and spec.hurst == 0.5 and spec.dim == 1:
@@ -494,20 +483,14 @@ def _task_bivariate(spec, jobs, out_dir, results, verdicts, rows):
                 -(off**2) / (2 * (t - s))
             ) / math.sqrt(2 * math.pi * (t - s))
             worst = max(worst, abs(v - exact) / exact)
-        verdicts.append(
-            Verdict(
-                claim="Brownian-case joint density matches the product of Gaussian factors",
-                measured=f"worst relative error {worst:.4f} over {mags.size} offsets",
-                window=f"<= {oracle_tol}",
-                verdict="pass" if worst <= oracle_tol else "fail",
-            )
-        )
+        verdicts.append(_judged(
+            "Brownian-case joint density matches the product of Gaussian factors",
+            f"worst relative error {worst:.4f} over {mags.size} offsets", f"<= {oracle_tol}",
+            worst <= oracle_tol))
         info["oracle_worst_rel"] = worst
     results["bivariate"] = info
-    with open(out_dir / "density_bivariate.csv", "w", encoding="utf-8") as fh:
-        fh.write("offset,value\n")
-        for r, v in pairs:
-            fh.write(f"{r:.17g},{v:.17g}\n")
+    _write_csv(out_dir / "density_bivariate.csv", "offset,value",
+               (f"{r:.17g},{v:.17g}" for r, v in pairs))
 
 
 def _task_energy(spec, jobs, out_dir, results, verdicts, rows):
@@ -539,22 +522,12 @@ def _task_energy(spec, jobs, out_dir, results, verdicts, rows):
             ok = growth[-1] >= grow_last and total >= grow_total
             claim = f"energy grows without stabilizing for gamma = {gamma:.4g} > min(d, 1/H)"
             window = f"last growth >= {grow_last}, total >= {grow_total}"
-        verdicts.append(
-            Verdict(
-                claim=claim,
-                measured=f"medians {[round(float(v), 3) for v in med]}, growth {[round(g, 4) for g in growth]}",
-                window=window,
-                verdict="pass" if ok else "fail",
-            )
-        )
+        verdicts.append(_judged(claim, f"medians {[round(float(v), 3) for v in med]}, "
+                                f"growth {[round(g, 4) for g in growth]}", window, ok))
         info[label] = {"gamma": gamma, "medians": med.tolist(), "growth": growth,
                        "failures": failures}
-        for k, values in out.items():
-            rows.append(
-                dict(estimator="energy", H=spec.hurst, d=spec.dim, n_points=spec.n_points,
-                     seed=member_seed(spec, k), param=f"gamma={gamma:.4g}",
-                     slope=math.nan, r2=math.nan, value=float(values[i][-1]))
-            )
+        rows += [_row(spec, "energy", k, f"gamma={gamma:.4g}", math.nan, math.nan,
+                      float(values[i][-1])) for k, values in out.items()]
     results["energy"] = info
 
 
@@ -563,14 +536,8 @@ def _task_mu(spec, jobs, out_dir, results, verdicts, rows):
     fname = spec.fields[0]
     gamma = 1.0 - (1.0 + p["delta"]) * spec.dim * spec.hurst
     if gamma <= 0:
-        verdicts.append(
-            Verdict(
-                claim="mollified level-set measure bounds (need dH < 1)",
-                measured=f"gamma = {gamma:.4g} <= 0",
-                window="dH < 1",
-                verdict="untestable",
-            )
-        )
+        verdicts.append(Verdict("mollified level-set measure bounds (need dH < 1)",
+                                f"gamma = {gamma:.4g} <= 0", "dH < 1", "untestable"))
         return
     sharpness = list(p["sharpness"])
     restrict = (p["t_lo"], spec.t_range[1])
@@ -582,26 +549,17 @@ def _task_mu(spec, jobs, out_dir, results, verdicts, rows):
     mass_means = arr[:, :, 0].mean(axis=0)
     mass2_means = (arr[:, :, 0] ** 2).mean(axis=0)
     energy_means = arr[:, :, 1].mean(axis=0)
-    verdicts.append(
-        Verdict(
-            claim="mollified level-set measures keep mass bounded below",
-            measured=f"mean mass {[round(float(v), 3) for v in mass_means]}",
-            window=f">= {mass_floor} at every sharpness",
-            verdict="pass" if mass_means.min() >= mass_floor else "fail",
-        )
-    )
+    verdicts.append(_judged("mollified level-set measures keep mass bounded below",
+                            f"mean mass {[round(float(v), 3) for v in mass_means]}",
+                            f">= {mass_floor} at every sharpness", mass_means.min() >= mass_floor))
     for label, seq in (("second moment", mass2_means), ("gamma-energy", energy_means)):
         growth = [float(b / a) for a, b in zip(seq, seq[1:])]
         decreasing = all(b < a for a, b in zip(growth, growth[1:]))
-        ok = decreasing and growth[-1] <= final_cap
-        verdicts.append(
-            Verdict(
-                claim=f"mollified level-set measure {label} stays bounded in the sharpness limit",
-                measured=f"means {[round(float(v), 3) for v in seq]}, growth {[round(g, 4) for g in growth]}",
-                window=f"growth factors decreasing, final <= {final_cap}",
-                verdict="pass" if ok else "fail",
-            )
-        )
+        verdicts.append(_judged(
+            f"mollified level-set measure {label} stays bounded in the sharpness limit",
+            f"means {[round(float(v), 3) for v in seq]}, growth {[round(g, 4) for g in growth]}",
+            f"growth factors decreasing, final <= {final_cap}",
+            decreasing and growth[-1] <= final_cap))
     results["mu"] = {
         "gamma": gamma,
         "sharpness": sharpness,
@@ -662,13 +620,8 @@ def run(spec: ExperimentSpec, tasks: tuple[str, ...] | None = None, jobs: int = 
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
     (out_dir / "report.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
     if rows:
-        with open(out_dir / "estimates.csv", "w", encoding="utf-8") as fh:
-            fh.write("estimator,H,d,n_points,seed,param,slope,r2,value\n")
-            for r in rows:
-                fh.write(
-                    f"{r['estimator']},{r['H']},{r['d']},{r['n_points']},{r['seed']},"
-                    f"{r['param']},{r['slope']},{r['r2']},{r['value']}\n"
-                )
+        _write_csv(out_dir / "estimates.csv", ",".join(rows[0]),
+                   (",".join(f"{value}" for value in r.values()) for r in rows))
     return report
 
 

@@ -16,7 +16,7 @@ def brownian_spec(ensemble, n_points=256, seed=314159, h=0.5, dim=1):
 
 def members(spec):
     """Each member's solution in index order, solved a chunk at a time."""
-    return (sol.values for _, sol in solve_block(spec, range(spec.ensemble)))
+    return (values for _, states, _ in solve_block(spec, range(spec.ensemble)) for values in states)
 
 
 def collect_sups(spec):

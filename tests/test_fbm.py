@@ -257,6 +257,18 @@ def test_component_streams_differ():
     assert np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("size", [513, 8], ids=["odd", "even"])
+def test_rekeyed_streams_match_a_generator_per_stream(size):
+    # each stream after the first is drawn right after another; at an odd
+    # length that one leaves the generator's buffer part used
+    seeds = [0, 1, 2**64 - 1]
+    draws = fbm._stream_normals(seeds, 3, size)
+    for k, seed in enumerate(seeds):
+        for j in range(3):
+            want = fbm.component_rng(seed, j).standard_normal(size)
+            assert draws[k, j].tobytes() == want.tobytes()
+
+
 # ------------------------------------------------------------------- file I/O
 
 def test_path_binary_roundtrip():

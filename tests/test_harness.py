@@ -242,28 +242,28 @@ def test_member_failure_rate_policy(tmp_path):
 
     spec = small_spec(tmp_path)  # base_seed 11
 
-    def flaky(spec, i):
-        if i % 10 == 0:
+    def flaky(spec, indices, states):
+        if any(i % 10 == 0 for i in indices):
             raise ValueError("boom")
-        return i
+        return indices
 
     with pytest.raises(RunError, match="member failures"):
         _member_map(flaky, spec, range(100), 1)
 
-    def one_bad(spec, i):
-        if i == 0:
+    def one_bad(spec, indices, states):
+        if 0 in indices:
             raise ValueError("boom")
-        return i
+        return indices
 
     res, fails = _member_map(one_bad, spec, range(200), 1)
     assert len(res) == 199
     assert fails == {11: "ValueError: boom"}  # keyed by the member's seed
 
 
-def _dies_on_member_3(spec, k):
-    if k == 3:
+def _dies_on_member_3(spec, indices, states):
+    if 3 in indices:
         os._exit(1)  # the worker process dies, as under an out-of-memory kill
-    return k
+    return indices
 
 
 def test_dead_worker_process_fails_its_block(tmp_path):
@@ -271,6 +271,42 @@ def test_dead_worker_process_fails_its_block(tmp_path):
 
     with pytest.raises(RunError, match="member failures.*BrokenProcessPool"):
         _member_map(_dies_on_member_3, small_spec(tmp_path), range(16), 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_tail_chunk_reduction_is_sup_increment_per_member(dim):
+    from fracdim import density as dl
+    from fracdim.config import solve_block
+    from fracdim.harness import _sup_worker
+
+    spec = ExperimentSpec(name="x", hurst=0.4, dim=dim, n_points=64, ensemble=300, base_seed=3)
+    windows = [spec.grid.window(0.0, 1.0), spec.grid.window(0.25, 0.5)]
+    for done, states, _ in solve_block(spec, range(spec.ensemble)):
+        sups = np.asarray(_sup_worker(spec, done, states, windows))
+        want = [[dl.sup_increment(row[w]) for w in windows] for row in states]
+        assert sups.tobytes() == np.array(want).tobytes()
+
+
+def _sups_failing_member_5(spec, indices, states, windows):
+    from fracdim.harness import _sup_worker
+
+    if 5 in indices:
+        raise ValueError("boom")
+    return _sup_worker(spec, indices, states, windows)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_worker_raising_on_one_row_fails_that_member_alone(tmp_path, jobs):
+    from fracdim.harness import _member_map, _sup_worker
+
+    spec = small_spec(tmp_path, n_points=64, ensemble=300)  # base_seed 11
+    windows = [spec.grid.window(0.0, 1.0)]
+    clean, _ = _member_map(_sup_worker, spec, range(300), jobs, windows, fields="identity")
+    out, failures = _member_map(_sups_failing_member_5, spec, range(300), jobs, windows,
+                                fields="identity")
+    assert failures == {16: "ValueError: boom"}
+    assert list(out) == [k for k in range(300) if k != 5]
+    assert all(np.array_equal(out[k], clean[k]) for k in out)
 
 
 def test_tail_task_writes_curve_csv(tmp_path):
@@ -365,7 +401,9 @@ def test_member_failing_the_guard_in_its_block_fails_alone(tmp_path, monkeypatch
         drivers = real(spec, indices)
         if isinstance(indices, int):
             return jump(drivers) if indices == 1 else drivers
-        return [jump(driver) if k == 1 else driver for k, driver in zip(indices, drivers)]
+        if 1 in indices:  # the stacked values of a chunk
+            drivers[list(indices).index(1), 40:] += 1e13
+        return drivers
 
     monkeypatch.setattr(config, "generate_driver", jump_on_member_1)
     spec = small_spec(tmp_path, hurst=0.75, dim=2, n_points=64, ensemble=100, base_seed=500,
