@@ -14,6 +14,11 @@ is None when V0 is identically zero.
 Both take stacked states: ``x`` of shape (..., n) gives V of shape
 (..., n, d), DV of shape (..., n, n, d), and so on, one slice per state, so
 the solver can advance a block of members at once.
+
+``elliptic_sin_2d``'s jet is one product of the features (sin x, cos x)
+with a coefficient table: one row per feature, one column per slot of V,
+DV and D²V in that order, each block in C order.  The derivative columns
+are V's columns differentiated, so the three cannot drift apart.
 """
 from __future__ import annotations
 
@@ -100,35 +105,56 @@ def make_geometric_1d(sigma: float = 1.0) -> VectorFieldSet:
     return VectorFieldSet(dim_state=1, dim_noise=1, jet=jet, name="geometric_1d")
 
 
+def _sincos_derivatives(cols: np.ndarray) -> np.ndarray:
+    """Differentiate coefficient columns over the features (sin x, cos x).
+
+    ``cols`` of shape (2n, n, ...) gives shape (2n, n, n, ...), with the new
+    axis 2 the coordinate l: d/dx_l moves sin x_l's coefficient to cos x_l
+    and minus cos x_l's to sin x_l.
+    """
+    n = cols.shape[0] // 2
+    out = np.zeros(cols.shape[:2] + (n,) + cols.shape[2:])
+    for l in range(n):
+        out[n + l, :, l] = cols[l]
+        out[l, :, l] -= cols[n + l]
+    return out
+
+
 def make_elliptic_sin_2d() -> VectorFieldSet:
     """Identity plus a 0.1-amplitude sine perturbation with unit row norms.
 
     The perturbation spectral norm is at most 0.1 sqrt(2), so the diffusion
     stays uniformly elliptic with lambda >= (1 - 0.1 sqrt(2))^2.
+
+    The jet is one product of the features t = (sin x0, sin x1, cos x0,
+    cos x1) with a (4, 28) coefficient table whose columns, in C order, are
+    V[i, j] (4), DV[i, l, j] (8) and D²V[i, m, l, j] (16); the DV and D²V
+    columns are V's differentiated.  V's two 1.0 entries are added after the
+    product, as in 1.0 + 0.1 sin x: a constant feature would let the product
+    fuse them into one rounding.  Each slot has one nonzero coefficient, so
+    the product rounds as the slot expression does, and the added +0.0 makes
+    every zero slot +0.0 whatever order BLAS sums in, also at a coordinate
+    of exactly 0.0, where -0.1 * sin(0.0) is -0.0.
     """
+    v = np.zeros((4, 2, 2))
+    v[1, 0, 0] = v[3, 0, 1] = v[0, 1, 0] = v[2, 1, 1] = 0.1
+    dv = _sincos_derivatives(v)
+    table = np.concatenate([c.reshape(4, -1) for c in (v, dv, _sincos_derivatives(dv))], axis=1)
+    base = np.zeros(table.shape[1])
+    base[[0, 3]] = 1.0
+    shapes = ((2, 2), (2, 2, 2), (2, 2, 2, 2))
+    ends = (0, 4, 12, 28)
+    cuts = [(table[:, :w], base[:w]) for w in ends[1:]]
 
     def jet(x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-        s, c = np.sin(x), np.cos(x)
-        v = np.empty(x.shape[:-1] + (2, 2))
-        v[..., 0, 0] = 1.0 + 0.1 * s[..., 1]
-        v[..., 0, 1] = 0.1 * c[..., 1]
-        v[..., 1, 0] = 0.1 * s[..., 0]
-        v[..., 1, 1] = 1.0 + 0.1 * c[..., 0]
-        if order < 2:
-            return (v,)
-        dv = _zeros(x, 2, 2, 2)
-        dv[..., 0, 1, 0] = 0.1 * c[..., 1]
-        dv[..., 0, 1, 1] = -0.1 * s[..., 1]
-        dv[..., 1, 0, 0] = 0.1 * c[..., 0]
-        dv[..., 1, 0, 1] = -0.1 * s[..., 0]
-        if order < 3:
-            return v, dv
-        d2v = _zeros(x, 2, 2, 2, 2)
-        d2v[..., 0, 1, 1, 0] = -0.1 * s[..., 1]
-        d2v[..., 0, 1, 1, 1] = -0.1 * c[..., 1]
-        d2v[..., 1, 0, 0, 0] = -0.1 * s[..., 0]
-        d2v[..., 1, 0, 0, 1] = -0.1 * c[..., 0]
-        return v, dv, d2v
+        lead = x.shape[:-1]
+        t = np.empty(lead + (4,))
+        np.sin(x, out=t[..., :2])
+        np.cos(x, out=t[..., 2:])
+        coef, ones = cuts[order - 1]
+        flat = t @ coef
+        flat += ones
+        return tuple(flat[..., ends[k]:ends[k + 1]].reshape(lead + shapes[k]) for k in range(order))
 
     return VectorFieldSet(dim_state=2, dim_noise=2, jet=jet, name="elliptic_sin_2d")
 

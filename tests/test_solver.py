@@ -111,6 +111,27 @@ def test_geometric_strong_error_decays():
     assert order >= 0.4
 
 
+
+@pytest.mark.parametrize("h", [0.3, 0.4])
+def test_step3_strong_error_decays(h):
+    # the Doss-Sussmann flow x0 exp(sigma B_1) is exact for a piecewise-linear
+    # driver; step 3's local error O(|delta|^4) predicts a strong order 4H - 1,
+    # asserted at half that
+    sigma, m, fine = 0.8, 48, 12
+    geo = fields.make_geometric_1d(sigma)
+    grid = TimeGrid(2**fine + 1, 0.0, 1.0)
+    paths = fbm.generate_circulant(grid, 1, h, seed=range(1000, 1000 + m))
+    exact = np.array([math.exp(sigma * (p.values[-1, 0] - p.values[0, 0])) for p in paths])
+    sig = rp.lift_path(paths, 3)
+    grids = range(8, fine + 1)
+    means = []
+    for j in grids:
+        sols = solver.solve(geo, np.ones((m, 1)), rp.coarsen(sig, 2 ** (fine - j)), SolverScheme("step3"))
+        means.append(np.mean([abs(sol.values[-1, 0] - e) for sol, e in zip(sols, exact)]))
+    assert all(b < a for a, b in zip(means, means[1:]))
+    order = -np.polyfit(list(grids), np.log2(means), 1)[0]
+    assert order >= 0.5 * (4 * h - 1)
+
 def test_drift_only_matches_ode_oracle():
     dr = fields.make_drift_only(2)
     x0 = np.array([0.3, -0.2])
@@ -169,6 +190,24 @@ def test_solve_nan_state_reports_step():
     with pytest.raises(solver.SolverError, match="step 66"):
         solver.solve(nan_past_half, np.zeros(1), sig, SolverScheme("step2_davie"))
 
+
+
+@pytest.mark.parametrize("h, factor", [(0.75, 1), (0.3, 4)])  # step 2; step 3 on a coarsened lift
+def test_nan_member_fails_alone_in_its_block(h, factor):
+    # the jet spreads a NaN coordinate into every slot of its own member's
+    # jet; the other members of the block must not see it
+    fs = fields.resolve_fields("elliptic_sin_2d", 2)
+    scheme = solver.scheme_for(h)
+    paths = [fbm.generate_circulant(TimeGrid(257, 0.0, 1.0), 2, h, seed=40 + j) for j in range(4)]
+    starts = np.linspace(0.1, 0.8, 8).reshape(4, 2)
+    starts[2] = [np.nan, 0.0]
+    sols = solver.solve(fs, starts, rp.coarsen(rp.lift_path(paths, scheme.depth), factor), scheme)
+    assert isinstance(sols[2], solver.SolverError)
+    assert str(sols[2]) == "state overflow at step 1"
+    for k in (0, 1, 3):
+        alone = solver.solve(fs, starts[k], rp.coarsen(rp.lift_path(paths[k], scheme.depth), factor),
+                             scheme)
+        assert sols[k].values.tobytes() == alone.values.tobytes()
 
 @pytest.mark.parametrize(
     "name, h, dim, factor",
@@ -412,6 +451,32 @@ def test_time_loop_matches_five_callable_reference(name, dim, h, factor, m):
     want = reference_steps(reference_catalog(name, dim), starts, levels, sig.grid.spacing)
     assert got.tobytes() == want.tobytes()
 
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("lead", [(), (1,), (5,), (3, 4), (1000,)])
+def test_elliptic_jet_matches_slot_reference(order, lead):
+    # tobytes, not array_equal: a -0.0 in a zero DV or D2V slot must fail
+    ref = reference_catalog("elliptic_sin_2d", 2)
+    x = np.random.default_rng(order + len(lead)).uniform(-60, 60, lead + (2,))
+    got = fields.make_elliptic_sin_2d().jet(x, order)
+    want = (ref.v(x), ref.first_derivatives(x), ref.second_derivatives(x))[:order]
+    assert len(got) == order
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_elliptic_time_loop_from_zero_matches_reference():
+    # at a coordinate of exactly 0.0 the slot reference has -0.0 in its
+    # -0.1 sin slots where the jet has +0.0; every run starts there
+    m = 4
+    paths = [fbm.generate_circulant(TimeGrid(257, 0.0, 1.0), 2, 0.75, seed=60 + j) for j in range(m)]
+    sig = rp.lift_path(paths, 2)
+    starts = np.zeros((m, 2))
+    got = solver._steps(fields.resolve_fields("elliptic_sin_2d", 2), starts, sig.levels, sig.grid.spacing)
+    want = reference_steps(reference_catalog("elliptic_sin_2d", 2), starts, sig.levels, sig.grid.spacing)
+    assert got.tobytes() == want.tobytes()
 
 # ------------------------------------------------------------------- catalog
 
