@@ -136,7 +136,7 @@ def make_elliptic_sin_2d() -> VectorFieldSet:
     every zero slot +0.0 whatever order BLAS sums in, also at a coordinate
     of exactly 0.0, where -0.1 * sin(0.0) is -0.0.
     """
-    v = np.zeros((4, 2, 2))
+    v = np.zeros((4, 2, 2))  # V[i, j]'s coefficient on each feature
     v[1, 0, 0] = v[3, 0, 1] = v[0, 1, 0] = v[2, 1, 1] = 0.1
     dv = _sincos_derivatives(v)
     table = np.concatenate([c.reshape(4, -1) for c in (v, dv, _sincos_derivatives(dv))], axis=1)
