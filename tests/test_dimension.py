@@ -104,6 +104,91 @@ def test_dimension_chain_subset_slope():
     assert part <= full + 0.05
 
 
+# --------------------------------------------------------------- anchored slope
+
+def reference_window(cloud, octaves):
+    """The saturation search with one box_count per scale: the ladder's (hi, lo)."""
+    span = dm.cloud_span(cloud)
+    threshold = max(2, int(0.25 * len(cloud)))
+    eps = span / 8.0
+    lo = eps
+    while eps > span / 4096.0:
+        if dm.box_count(cloud, eps) >= threshold:
+            break
+        lo = eps
+        eps /= 2.0
+    hi = min(span / 8.0, lo * 2.0**octaves)
+    if hi <= lo:
+        hi = lo * 2.0**octaves
+    return hi, lo
+
+
+def reference_anchored_slope(cloud, octaves):
+    est = dm.box_dimension(cloud, reference_window(cloud, octaves), octaves + 1)
+    return est.slope, est.r_squared
+
+
+def fbm_values(d, h, seed, n=2**12):
+    return fbm.generate_circulant(TimeGrid(n + 1, 0.0, 1.0), d, h, seed=seed).values
+
+
+def boundary_cloud():
+    # the start point X_0 = 0 is the minimum on the widest axis, so the far
+    # point lies exactly on a dyadic cell boundary at every searched scale
+    v = fbm_values(2, 0.75, seed=1)
+    widest = int(np.argmax(np.ptp(v, axis=0)))
+    assert v[0, widest] == v[:, widest].min() == 0.0
+    return PointCloud(v)
+
+
+ANCHORED_CLOUDS = {
+    "image_d1": lambda: PointCloud(fbm_values(1, 0.5, seed=11)),
+    "image_d2": lambda: PointCloud(fbm_values(2, 0.75, seed=12, n=2**14)),
+    "graph_2col": lambda: dm.graph_cloud(fbm.generate_circulant(TimeGrid(2**12 + 1, 0.0, 1.0), 1, 0.5, seed=13)),
+    "graph_3col": lambda: dm.graph_cloud(fbm.generate_circulant(TimeGrid(2**12 + 1, 0.0, 1.0), 2, 0.4, seed=14)),
+    "exact_boundary": boundary_cloud,
+    "negative": lambda: PointCloud(fbm_values(2, 0.6, seed=15) - 3.25),
+    "far_offset": lambda: PointCloud(fbm_values(2, 0.6, seed=16) + np.array([1e6, -2.5e5])),
+    "saturated": lambda: PointCloud(np.linspace(0.0, 1.0, 12)),
+    "two_points": lambda: PointCloud(np.array([[0.0, 0.0], [1.0, 0.5]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANCHORED_CLOUDS))
+def test_anchored_slope_matches_direct_counts(name):
+    cloud = ANCHORED_CLOUDS[name]()
+    for octaves in (3, 4):
+        got = np.array(dm._anchored_slope(cloud, octaves))
+        want = np.array(reference_anchored_slope(cloud, octaves))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_boundary_cloud_counts_differ_off_the_halvings():
+    # the geomspace ladder's interior scales miss the dyadic ones by a few ulps,
+    # and on this cloud at least one of them counts a different number of cells
+    cloud = boundary_cloud()
+    hi, lo = reference_window(cloud, 4)
+    assert hi == lo * 2**4
+    scales = np.geomspace(hi, lo, 5)
+    dyadic = hi * 2.0 ** -np.arange(5)
+    assert any(dm.box_count(cloud, s) != dm.box_count(cloud, t) for s, t in zip(scales, dyadic))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_nested_counts_equal_box_count(dim):
+    rng = np.random.default_rng(dim)
+    for points in (rng.normal(size=(3000, dim)), rng.standard_cauchy(size=(3000, dim)) - 40.0):
+        cloud = PointCloud(points)
+        span = dm.cloud_span(cloud)
+        levels = [span / 8.0 / 2**j for j in range(9)]
+        assert dm._nested_counts(cloud, levels) == [dm.box_count(cloud, s) for s in levels]
+
+
+def test_anchored_slope_rejects_zero_span():
+    with pytest.raises(ValueError, match="span is 0"):
+        dm._anchored_slope(PointCloud(np.full((10, 2), 0.3)), 4)
+
+
 # ----------------------------------------------------------------- graph cloud
 
 def test_graph_cloud_shape_and_constant_path():
