@@ -12,9 +12,8 @@ dyadic count only where it floors every point into the same cell.
 
 Energies use trapezoid quadrature with a one-spacing diagonal cut.
 ``energy_ladder`` gives the energies of every gamma and decimation from one
-pass over the pairs, and
-``mu_measure`` sums its energy over time lags (the Toeplitz form of its
-|t-s| kernel on a uniform grid).
+pass over the pairs, and ``mu_measure`` sums its energy over time lags (the
+Toeplitz form of its |t-s| kernel on a uniform grid).
 """
 from __future__ import annotations
 
@@ -237,10 +236,10 @@ def _anchored_slope(cloud: PointCloud, octaves: int) -> tuple[float, float]:
     ``np.geomspace`` over ``octaves``.  Its interior scales sit 1-4 ulps off the
     halvings, so where a point lies exactly on a dyadic cell boundary (the
     start point at the minimum of the widest axis puts the far point on one)
-    they count one cell fewer; a ladder scale therefore takes its nearest
-    searched count only when it floors every point into the same cell, and is
-    otherwise counted directly.  The result equals box_dimension's over the
-    same window.
+    they can count a cell more or fewer; a ladder scale therefore takes its
+    nearest searched count only when it floors every point into the same
+    cell, and is otherwise counted directly.  The result equals
+    box_dimension's over the same window.
     """
     if octaves < 3:
         raise ValueError("need at least 4 scales")

@@ -151,6 +151,8 @@ ANCHORED_CLOUDS = {
     "far_offset": lambda: PointCloud(fbm_values(2, 0.6, seed=16) + np.array([1e6, -2.5e5])),
     "saturated": lambda: PointCloud(np.linspace(0.0, 1.0, 12)),
     "two_points": lambda: PointCloud(np.array([[0.0, 0.0], [1.0, 0.5]])),
+    # 6 axes of ~12 index bits pass 62 key bits: every scale is counted directly
+    "six_axes": lambda: PointCloud(np.random.default_rng(17).normal(size=(2000, 6))),
 }
 
 
@@ -182,6 +184,12 @@ def test_nested_counts_equal_box_count(dim):
         span = dm.cloud_span(cloud)
         levels = [span / 8.0 / 2**j for j in range(9)]
         assert dm._nested_counts(cloud, levels) == [dm.box_count(cloud, s) for s in levels]
+
+
+def test_nested_counts_decline_keys_past_62_bits():
+    cloud = ANCHORED_CLOUDS["six_axes"]()
+    span = dm.cloud_span(cloud)
+    assert dm._nested_counts(cloud, [span / 8.0 / 2**j for j in range(9)]) is None
 
 
 def test_anchored_slope_rejects_zero_span():
