@@ -344,7 +344,7 @@ def _solve_chunk(
     starts = np.zeros((len(drawn), fs.dim_state))
     if drawn and fs.constant:
         # the exact path, stacked; the lift's cumulative sums would round differently
-        paths = _constant_field_path(fs, starts, paths, spec.grid)
+        paths = _constant_field_path(fs, starts, paths)
     elif drawn:
         scheme, hurst = SolverScheme(spec.scheme), HurstParam(spec.hurst)
         lifted = lift_path([SamplePath(spec.grid, p, hurst=hurst) for p in paths], scheme.depth)

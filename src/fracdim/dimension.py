@@ -124,8 +124,8 @@ def box_count(cloud: PointCloud, epsilon: float) -> int:
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     idx = np.floor(cloud.points / epsilon).astype(np.int64)
-    lo = idx.min(axis=0)
-    idx -= lo
+    # column by column, as in cloud_span: a narrow axis-0 reduction is slow
+    idx -= [idx[:, j].min() for j in range(idx.shape[1])]
     spread = int(idx.max()) + 1 if idx.size else 1
     if cloud.dim_embed * math.log2(max(spread, 2)) < 62:
         # pack cell coordinates into one integer; unique on int64 sorts fast

@@ -15,13 +15,17 @@ Both take stacked states: ``x`` of shape (..., n) gives V of shape
 (..., n, d), DV of shape (..., n, n, d), and so on, one slice per state, so
 the solver can advance a block of members at once.
 
-``elliptic_sin_2d``'s jet is one product of the features (sin x, cos x)
-with a coefficient table: one row per feature, one column per slot of V,
-DV and D²V in that order, each block in C order.  The derivative columns
-are V's columns differentiated, so the three cannot drift apart.
+Every set gives its jet in one form: a feature map t(x) of F features, a
+(F, W) coefficient table and a base row of W entries, one column per slot
+of V, DV and D²V in that order, each block in C order.  The jet is the
+product t(x) @ table + base, read as V, DV and D²V through views of the
+one flat row, so a caller that owns the buffers (the solver's time loop)
+can refill them in place.  A set with no features has a constant jet, the
+base row alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,21 +41,72 @@ __all__ = [
     "resolve_fields",
 ]
 
+#: binds a feature buffer of shape (..., F) and returns the writer that fills
+#: it with the features of the states x of shape (..., n)
+FeatureMap = Callable[[np.ndarray], Callable[[np.ndarray], object]]
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class VectorFieldSet:
-    """Diffusion fields V1..Vd as a jet, and an optional drift V0.
+    """Diffusion fields V1..Vd as a coefficient table over features, and an optional drift V0.
 
-    ``constant`` marks state-independent V0 and V, which lets the solver take
-    its exact cumulative-sum path.
+    ``table`` (F, W) and ``base`` (W,) hold one column per slot of V, DV and
+    D²V, W = n·d·(1 + n + n²); ``features`` is None exactly when F = 0.  Both
+    are copied read-only at construction.  A set with no features and no
+    drift is ``constant``, which lets the solver take its exact
+    cumulative-sum path.
     """
 
     dim_state: int
     dim_noise: int
-    jet: Callable[[np.ndarray, int], tuple[np.ndarray, ...]]
+    table: np.ndarray
+    base: np.ndarray
+    features: FeatureMap | None = None
     drift: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
-    constant: bool = False
     name: str = ""
+
+    def __post_init__(self) -> None:
+        width = self.width(3)
+        table, base = np.array(self.table, dtype=float), np.array(self.base, dtype=float)
+        if table.ndim != 2 or table.shape[1] != width or base.shape != (width,):
+            raise ValueError(
+                f"table must have shape (F, {width}) and base ({width},), one column per slot "
+                f"of V, DV and D2V; got {table.shape} and {base.shape}"
+            )
+        if (self.features is None) != (table.shape[0] == 0):
+            raise ValueError("a table needs a feature map exactly when it has feature rows")
+        for key, value in (("table", table), ("base", base)):
+            value.flags.writeable = False
+            object.__setattr__(self, key, value)
+
+    @property
+    def constant(self) -> bool:
+        return self.features is None and self.drift is None
+
+    def width(self, order: int) -> int:
+        """Columns of the first ``order`` blocks of (V, DV, D²V)."""
+        n = self.dim_state
+        return self.dim_noise * sum(n ** (k + 1) for k in range(order))
+
+    def views(self, flat: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+        """V, DV, D²V (the first ``order``) as views of a flat jet of shape (..., width(order))."""
+        n, d, lead = self.dim_state, self.dim_noise, flat.shape[:-1]
+        out, start = [], 0
+        for k in range(order):
+            shape = (n,) * (k + 1) + (d,)
+            out.append(flat[..., start:start + math.prod(shape)].reshape(lead + shape))
+            start += math.prod(shape)
+        return tuple(out)
+
+    def jet(self, x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+        """The first ``order`` of (V, DV, D²V) at the stacked states ``x``, from one product."""
+        w = self.width(order)
+        t = np.zeros(x.shape[:-1] + self.table.shape[:1])
+        if self.features is not None:
+            self.features(t)(x)
+        flat = t @ self.table[:, :w]
+        flat += self.base[:w]
+        return self.views(flat, order)
 
     def v(self, x: np.ndarray) -> np.ndarray:
         return self.jet(x, 1)[0]
@@ -65,44 +120,48 @@ class VectorFieldSet:
     def v0(self, x: np.ndarray) -> np.ndarray:
         """The drift V0 at ``x``; zeros for a set without a drift."""
         if self.drift is None:
-            return _zeros(x, self.dim_state)
+            return np.zeros(x.shape[:-1] + (self.dim_state,))
         return self.drift(x)[0]
 
 
-def _zeros(x: np.ndarray, *shape: int) -> np.ndarray:
-    """Zeros of shape (..., *shape) for the stacked states ``x`` of shape (..., n)."""
-    return np.zeros(x.shape[:-1] + shape)
-
-
-def _zero_derivatives(x: np.ndarray, order: int, dim: int) -> tuple[np.ndarray, ...]:
-    """The zero DV, D²V of a state-independent square V, up to ``order``."""
-    return tuple(_zeros(x, *(dim,) * (k + 2)) for k in range(1, order))
+def _constant_jet(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The featureless table and base row of the state-independent V of shape (n, d)."""
+    n = v.shape[0]
+    base = np.zeros(v.size * (1 + n + n * n))
+    base[: v.size] = v.ravel()
+    return np.zeros((0, base.size)), base
 
 
 def make_identity(dim: int) -> VectorFieldSet:
     """Zero drift, identity diffusion: the solution is x0 + B."""
-    eye = np.eye(dim)
-    return VectorFieldSet(
-        dim_state=dim,
-        dim_noise=dim,
-        jet=lambda x, order: (_zeros(x, dim, dim) + eye,) + _zero_derivatives(x, order, dim),
-        constant=True,
-        name="identity",
-    )
+    return VectorFieldSet(dim, dim, *_constant_jet(np.eye(dim)), name="identity")
+
+
+def _coordinates(t: np.ndarray) -> Callable[[np.ndarray], object]:
+    """The feature map t(x) = x."""
+    return lambda x: np.copyto(t, x)
 
 
 def make_geometric_1d(sigma: float = 1.0) -> VectorFieldSet:
     """dX = sigma X dB in one dimension; the Doss-Sussmann flow x0 exp(sigma B_t).
 
-    For a piecewise-linear driver this closed form is exact at every H.
+    For a piecewise-linear driver this closed form is exact at every H.  The
+    jet is x times the row (sigma, 0, 0) plus the base row (0, sigma, 0).
     """
+    return VectorFieldSet(1, 1, np.array([[sigma, 0.0, 0.0]]), np.array([0.0, sigma, 0.0]),
+                          features=_coordinates, name="geometric_1d")
 
-    def jet(x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-        v = np.empty(x.shape[:-1] + (1, 1))
-        v[..., 0, 0] = sigma * x[..., 0]
-        return (v, _zeros(x, 1, 1, 1) + sigma, _zeros(x, 1, 1, 1, 1))[:order]
 
-    return VectorFieldSet(dim_state=1, dim_noise=1, jet=jet, name="geometric_1d")
+def _sin_cos(t: np.ndarray) -> Callable[[np.ndarray], object]:
+    """The feature map t(x) = (sin x, cos x), into the halves of ``t``."""
+    n = t.shape[-1] // 2
+    sin, cos = t[..., :n], t[..., n:]
+
+    def write(x: np.ndarray) -> None:
+        np.sin(x, out=sin)
+        np.cos(x, out=cos)
+
+    return write
 
 
 def _sincos_derivatives(cols: np.ndarray) -> np.ndarray:
@@ -126,15 +185,15 @@ def make_elliptic_sin_2d() -> VectorFieldSet:
     The perturbation spectral norm is at most 0.1 sqrt(2), so the diffusion
     stays uniformly elliptic with lambda >= (1 - 0.1 sqrt(2))^2.
 
-    The jet is one product of the features t = (sin x0, sin x1, cos x0,
-    cos x1) with a (4, 28) coefficient table whose columns, in C order, are
-    V[i, j] (4), DV[i, l, j] (8) and D²V[i, m, l, j] (16); the DV and D²V
-    columns are V's differentiated.  V's two 1.0 entries are added after the
-    product, as in 1.0 + 0.1 sin x: a constant feature would let the product
-    fuse them into one rounding.  Each slot has one nonzero coefficient, so
-    the product rounds as the slot expression does, and the added +0.0 makes
-    every zero slot +0.0 whatever order BLAS sums in, also at a coordinate
-    of exactly 0.0, where -0.1 * sin(0.0) is -0.0.
+    The features are t = (sin x0, sin x1, cos x0, cos x1), and the (4, 28)
+    table's columns, in C order, are V[i, j] (4), DV[i, l, j] (8) and
+    D²V[i, m, l, j] (16); the DV and D²V columns are V's differentiated.
+    V's two 1.0 entries sit in the base row, added after the product, as in
+    1.0 + 0.1 sin x: a constant feature would let the product fuse them
+    into one rounding.  Each slot has one nonzero coefficient, so the product
+    rounds as the slot expression does, and the base row's +0.0 makes every
+    zero slot +0.0 whatever order BLAS sums in, also at a coordinate of
+    exactly 0.0, where -0.1 * sin(0.0) is -0.0.
     """
     v = np.zeros((4, 2, 2))  # V[i, j]'s coefficient on each feature
     v[1, 0, 0] = v[3, 0, 1] = v[0, 1, 0] = v[2, 1, 1] = 0.1
@@ -142,21 +201,7 @@ def make_elliptic_sin_2d() -> VectorFieldSet:
     table = np.concatenate([c.reshape(4, -1) for c in (v, dv, _sincos_derivatives(dv))], axis=1)
     base = np.zeros(table.shape[1])
     base[[0, 3]] = 1.0
-    shapes = ((2, 2), (2, 2, 2), (2, 2, 2, 2))
-    ends = (0, 4, 12, 28)
-    cuts = [(table[:, :w], base[:w]) for w in ends[1:]]
-
-    def jet(x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-        lead = x.shape[:-1]
-        t = np.empty(lead + (4,))
-        np.sin(x, out=t[..., :2])
-        np.cos(x, out=t[..., 2:])
-        coef, ones = cuts[order - 1]
-        flat = t @ coef
-        flat += ones
-        return tuple(flat[..., ends[k]:ends[k + 1]].reshape(lead + shapes[k]) for k in range(order))
-
-    return VectorFieldSet(dim_state=2, dim_noise=2, jet=jet, name="elliptic_sin_2d")
+    return VectorFieldSet(2, 2, table, base, features=_sin_cos, name="elliptic_sin_2d")
 
 
 def make_drift_only(dim: int) -> VectorFieldSet:
@@ -164,7 +209,7 @@ def make_drift_only(dim: int) -> VectorFieldSet:
 
     def drift(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v0 = 0.5 * np.sin(np.roll(x, -1, axis=-1)) + 0.3 * np.cos(x)
-        dv0 = _zeros(x, dim, dim)
+        dv0 = np.zeros(x.shape[:-1] + (dim, dim))
         rolled = 0.5 * np.cos(np.roll(x, -1, axis=-1))
         sin_x = np.sin(x)
         for i in range(dim):
@@ -172,13 +217,8 @@ def make_drift_only(dim: int) -> VectorFieldSet:
             dv0[..., i, i] += -0.3 * sin_x[..., i]
         return v0, dv0
 
-    return VectorFieldSet(
-        dim_state=dim,
-        dim_noise=dim,
-        jet=lambda x, order: (_zeros(x, dim, dim),) + _zero_derivatives(x, order, dim),
-        drift=drift,
-        name="drift_only",
-    )
+    return VectorFieldSet(dim, dim, *_constant_jet(np.zeros((dim, dim))), drift=drift,
+                          name="drift_only")
 
 
 FIELD_CATALOG: dict[str, Callable[[int], VectorFieldSet]] = {

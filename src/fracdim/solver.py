@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import HurstParam, SamplePath, TimeGrid
+from .fbm import HurstParam, SamplePath
 from .fields import VectorFieldSet
 from .roughpath import SignaturePath, required_depth
 
@@ -89,36 +89,25 @@ def check_ellipticity(
     return EllipticityReport(worst, pts, lam, worst >= lam)
 
 
-def _validate_shapes(fields: VectorFieldSet, x0: np.ndarray, depth: int) -> None:
-    n, d = fields.dim_state, fields.dim_noise
+def _validate_shapes(fields: VectorFieldSet, x0: np.ndarray) -> None:
+    """The starts' shape, and the drift's at them; the jet's shapes are the table's."""
+    n = fields.dim_state
     lead = x0.shape[:-1]
     if x0.shape[-1:] != (n,) or len(lead) > 1:
         raise ValueError(f"x0 must have shape ({n},), or (members, {n}) for a stacked driver")
-    expected = {"V": (n, d), "DV": (n, n, d), "D2V": (n, n, n, d), "V0": (n,), "DV0": (n, n)}
-    jet = fields.jet(x0, depth)
-    if len(jet) != depth:
-        raise ValueError(f"jet(x, {depth}) must return {depth} arrays, got {len(jet)}")
-    pieces = dict(zip(("V", "DV", "D2V"), jet))
     if fields.drift is not None:
-        pieces.update(zip(("V0", "DV0"), fields.drift(x0)))
-    for piece, value in pieces.items():
-        want = lead + expected[piece]
-        if np.shape(value) != want:
-            raise ValueError(f"{piece} must have shape {want}, got {np.shape(value)}")
+        for piece, value, shape in zip(("V0", "DV0"), fields.drift(x0), ((n,), (n, n))):
+            if np.shape(value) != lead + shape:
+                raise ValueError(f"{piece} must have shape {lead + shape}, got {np.shape(value)}")
 
 
-def _constant_field_path(
-    fields: VectorFieldSet, x0: np.ndarray, path: np.ndarray, grid: TimeGrid
-) -> np.ndarray:
-    """Exact solution for state-independent fields: x0 + path V^T + (t - t0) V0.
+def _constant_field_path(fields: VectorFieldSet, x0: np.ndarray, path: np.ndarray) -> np.ndarray:
+    """Exact solution for state-independent fields without a drift: x0 + path V^T.
 
     ``x0`` of shape (..., n) takes ``path`` of shape (..., n_points, d).
     """
     out = path @ fields.v(x0).swapaxes(-1, -2)
     out += x0[..., None, :]
-    v0 = fields.v0(x0)
-    if np.any(v0):
-        out += (grid.points - grid.t_start)[:, None] * v0[..., None, :]
     return out
 
 
@@ -127,38 +116,69 @@ def _steps(
 ) -> np.ndarray:
     """States (members, n_steps + 1, n) of the members, advanced together in one time loop.
 
-    The contractions are batched matrix products, one small product per member,
-    so a member's states do not depend on the block it is solved in.  A member
-    whose state passes the overflow guard goes on, possibly as inf or NaN;
-    ``solve`` finds its step afterwards.
+    Every buffer is allocated here, once per solve: the features, the flat
+    jet with its V, DV and D²V views, and one output per contraction.  Each
+    step writes the features, takes one product with the field table into
+    the jet, adds the base row, and contracts with ``np.matmul(..., out=)``
+    (step 3's V·b3 product with ``np.einsum(..., out=)``), reading the
+    levels' k-th increments as views.  So a step allocates no array, apart
+    from a drift's (V0, DV0) and their Taylor pair.  The contractions stay
+    one small product per member, so a member's states do not depend on
+    the block it is solved in.  A member whose state passes the overflow
+    guard goes on, possibly as inf or NaN; ``solve`` finds its step
+    afterwards.
     """
+    depth = len(levels)
     b1, b2 = levels[0], levels[1]
-    b3 = levels[2] if len(levels) >= 3 else None
     m, n_steps, d = b1.shape
     n = fields.dim_state
+    w = fields.width(depth)
+    coef, base = fields.table[:, :w], fields.base[:w]
+    feats = np.zeros((m, coef.shape[0]))
+    write = fields.features(feats) if fields.features is not None else None
+    flat = np.empty((m, w))
+    vx, dv, *d2v = fields.views(flat, depth)
+    dvx = dv.reshape(m, n, n * d)
+    col, term = np.empty((m, n, 1)), np.empty((m, n, 1))
+    dx, term_dx = col[..., 0], term[..., 0]
+    c = np.empty((m, n, d))
+    c_col = c.reshape(m, n * d, 1)
+    if depth >= 3:
+        b3 = levels[2].reshape(m, n_steps, d, d * d)
+        d2vx = d2v[0].reshape(m, n, n * n * d)
+        t1 = np.empty((m, n, d * d))
+        t1_blocks, t1_rows = t1.reshape(m, n, d, d), t1.reshape(m, n * d, d)
+        inner = np.empty((m, n, d))
+        inner_col = inner.reshape(m, n * d, 1)
+        u = np.empty((m, n, n, d))
+        u_col = u.reshape(m, n * n * d, 1)
     out = np.empty((m, n_steps + 1, n))
     out[:, 0] = x0
-    x = x0
+    x = np.array(x0)
     half_dt2 = 0.5 * dt * dt
     drift = fields.drift
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            jet = fields.jet(x, len(levels))
-            vx, dvx = jet[0], jet[1].reshape(m, n, n * d)
-            dx = (vx @ b1[:, k, :, None])[..., 0]
+            if write is not None:
+                write(x)
+            np.matmul(feats, coef, out=flat)
+            flat += base
+            np.matmul(vx, b1[:, k, :, None], out=col)
             if drift is not None:
                 v0x, dv0x = drift(x)
-                dx = v0x * dt + (dv0x @ v0x[..., None])[..., 0] * half_dt2 + dx
-            c = vx @ b2[:, k]
-            dx += (dvx @ c.reshape(m, n * d, 1))[..., 0]
-            if b3 is not None:
-                d2vx = jet[2].reshape(m, n, n * n * d)
-                t1 = (vx @ b3[:, k].reshape(m, d, d * d)).reshape(m, n, d, d)
-                inner = dvx @ t1.reshape(m, n * d, d)
-                dx += (dvx @ inner.reshape(m, n * d, 1))[..., 0]
-                u = np.einsum("...lb,...mbc->...mlc", vx, t1)
-                dx += (d2vx @ u.reshape(m, n * n * d, 1))[..., 0]
-            x = x + dx
+                dx += v0x * dt + (dv0x @ v0x[..., None])[..., 0] * half_dt2
+            np.matmul(vx, b2[:, k], out=c)
+            np.matmul(dvx, c_col, out=term)
+            dx += term_dx
+            if depth >= 3:
+                np.matmul(vx, b3[:, k], out=t1)
+                np.matmul(dvx, t1_rows, out=inner)
+                np.matmul(dvx, inner_col, out=term)
+                dx += term_dx
+                np.einsum("...lb,...mbc->...mlc", vx, t1_blocks, out=u)
+                np.matmul(d2vx, u_col, out=term)
+                dx += term_dx
+            x += dx
             out[:, k + 1] = x
     return out
 
@@ -172,9 +192,12 @@ def solve(
     """One state per grid point of the driver.
 
     The step-2 update contracts level-1/level-2 driver increments against V
-    and its first derivatives, evaluated together by one ``fields.jet`` call
-    per step, plus the drift Taylor pair V0 dt and DV0 V0 dt^2/2 when the set
-    has a drift; step-3 adds level-3 contractions with second derivatives.
+    and its first derivatives, evaluated together as one product of the
+    field's features with its coefficient table per step, into buffers the
+    solve allocates once, plus the drift Taylor pair V0 dt and DV0 V0 dt^2/2
+    when the set has a drift; step-3 adds level-3 contractions with second
+    derivatives.  A set with no features and no drift (``fields.constant``)
+    takes the exact path x0 + B V^T instead.
     Deterministic given its inputs; raises SolverError with the step index if
     the state passes the overflow guard or turns NaN.
 
@@ -193,7 +216,7 @@ def solve(
         )
     if driver.hurst is not None:
         scheme_for(driver.hurst, scheme.kind)
-    _validate_shapes(fields, x0, scheme.depth)
+    _validate_shapes(fields, x0)
     stacked = driver.members is not None
     if x0.shape[:-1] != ((driver.members,) if stacked else ()):
         raise ValueError("x0 needs one start per member of the driver")
@@ -205,7 +228,7 @@ def solve(
         # state-independent fields: derivative contractions vanish identically
         path = np.zeros(levels[0].shape[:1] + (grid.n_points, driver.dim))
         np.cumsum(levels[0], axis=1, out=path[:, 1:])
-        states = _constant_field_path(fields, starts, path, grid)
+        states = _constant_field_path(fields, starts, path)
     else:
         states = _steps(fields, starts, levels, grid.spacing)
     # the guard, also against NaN: a member fails at its first bad step

@@ -246,7 +246,7 @@ def test_identity_member_solution_does_not_depend_on_its_chunk(monkeypatch, chun
     for k, values in sols.items():
         # the member's own draw and exact path, as one member alone
         driver = generate_driver(spec, k)
-        alone = _constant_field_path(fs, np.zeros(dim), driver.values, spec.grid)
+        alone = _constant_field_path(fs, np.zeros(dim), driver.values)
         assert config.solve_member(spec, k).seed == 7 + k
         assert values.tobytes() == alone.tobytes()
 

@@ -87,6 +87,8 @@ MEMBER_TASKS = {
 FILE_TASKS = {
     "generate": ("generate", dict(n_points=256, ensemble=9)),
     "solve": ("solve", dict(dim=2, fields=("identity", "elliptic_sin_2d"), n_points=256, ensemble=9)),
+    "solve_step3": ("solve", dict(hurst=0.3, dim=2, fields=("elliptic_sin_2d",), n_points=256,
+                                  ensemble=9)),
 }
 
 

@@ -16,6 +16,11 @@ def zeros(x, *shape):
     return np.zeros(x.shape[:-1] + shape)
 
 
+def constant_set(v, drift=None):
+    """The featureless set with the state-independent V of shape (n, d): a base row alone."""
+    return VectorFieldSet(*v.shape, *fields._constant_jet(v), drift=drift)
+
+
 def brownian_driver(n, d, seed, h=0.5, depth=2):
     path = fbm.generate_circulant(TimeGrid(n + 1, 0.0, 1.0), d, h, seed=seed)
     return path, rp.lift_path(path, depth)
@@ -35,13 +40,8 @@ def test_ellipticity_identity_fields():
 
 
 def test_ellipticity_diagonal_constant():
-    diag = np.diag([1.0, 0.5])
-    fs = VectorFieldSet(
-        dim_state=2,
-        dim_noise=2,
-        jet=lambda x, order: (zeros(x, 2, 2) + diag, zeros(x, 2, 2, 2), zeros(x, 2, 2, 2, 2))[:order],
-        constant=True,
-    )
+    fs = constant_set(np.diag([1.0, 0.5]))
+    assert fs.constant
     rep = solver.check_ellipticity(fs, 0.2, [np.zeros(2)])
     assert rep.lambda_min_observed == pytest.approx(0.25)
     assert rep.passed
@@ -62,11 +62,7 @@ def test_ellipticity_sin_perturbation_bound():
 
 
 def test_ellipticity_rejects_nonsquare():
-    fs = VectorFieldSet(
-        dim_state=2,
-        dim_noise=1,
-        jet=lambda x, order: (zeros(x, 2, 1) + 1.0, zeros(x, 2, 2, 1), zeros(x, 2, 2, 2, 1))[:order],
-    )
+    fs = constant_set(np.ones((2, 1)))
     with pytest.raises(ValueError, match="square"):
         solver.check_ellipticity(fs, 0.1, [np.zeros(2)])
 
@@ -164,12 +160,7 @@ def test_solve_scheme_driver_consistency():
 
 
 def test_solve_overflow_guard_reports_step():
-    blow = VectorFieldSet(
-        dim_state=1,
-        dim_noise=1,
-        jet=lambda x, order: (zeros(x, 1, 1), zeros(x, 1, 1, 1), zeros(x, 1, 1, 1, 1))[:order],
-        drift=lambda x: (x**2, 2 * x[..., None]),
-    )
+    blow = constant_set(np.zeros((1, 1)), drift=lambda x: (x**2, 2 * x[..., None]))
     flat = SamplePath(TimeGrid(129, 0.0, 1.0), np.zeros((129, 1)))
     sig = rp.lift_path(flat, 2)
     with pytest.raises(solver.SolverError, match="step"):
@@ -179,11 +170,8 @@ def test_solve_overflow_guard_reports_step():
 def test_solve_nan_state_reports_step():
     # unit drift moves the state by 1/128 a step, past 0.5 at step 65; the drift
     # is NaN from there on, so the state turns NaN at step 66
-    nan_past_half = VectorFieldSet(
-        dim_state=1,
-        dim_noise=1,
-        jet=lambda x, order: (zeros(x, 1, 1), zeros(x, 1, 1, 1), zeros(x, 1, 1, 1, 1))[:order],
-        drift=lambda x: (np.where(x > 0.5, np.nan, 1.0), zeros(x, 1, 1)),
+    nan_past_half = constant_set(
+        np.zeros((1, 1)), drift=lambda x: (np.where(x > 0.5, np.nan, 1.0), zeros(x, 1, 1))
     )
     flat = SamplePath(TimeGrid(129, 0.0, 1.0), np.zeros((129, 1)))
     sig = rp.lift_path(flat, 2)
@@ -302,18 +290,32 @@ def test_catalog_derivatives_match_central_differences(name, dim, lead):
 
 
 def test_shape_error_names_the_piece():
-    _, sig2 = brownian_driver(8, 2, seed=0)
-    _, sig3 = brownian_driver(8, 2, seed=0, h=0.3, depth=3)
-    zero_jet = fields.make_drift_only(2).jet
+    # the jet's shapes are the table's, checked when the set is made; the
+    # drift's are checked by solve at the starts
+    no_features = lambda t: lambda x: None  # noqa: E731
     cases = [
-        (lambda x, order: (zeros(x, 2, 2), zeros(x, 2, 2))[:order], None, sig2, "^DV must have shape"),
-        (lambda x, order: zero_jet(x, 2), None, sig3, r"^jet\(x, 3\) must return 3 arrays"),
-        (zero_jet, lambda x: (zeros(x, 2), zeros(x, 2)), sig2, "^DV0 must have shape"),
+        (np.zeros((0, 12)), np.zeros(12), None, r"^table must have shape \(F, 28\)"),
+        (np.zeros((0, 28)), np.zeros(27), None, r"^table must have shape \(F, 28\)"),
+        (np.zeros((4, 28)), np.zeros(28), None, "^a table needs a feature map"),
+        (np.zeros((0, 28)), np.zeros(28), no_features, "^a table needs a feature map"),
     ]
-    for jet, drift, sig, message in cases:
-        fs = VectorFieldSet(dim_state=2, dim_noise=2, jet=jet, drift=drift)
+    for table, base, features, message in cases:
         with pytest.raises(ValueError, match=message):
-            solver.solve(fs, np.zeros(2), sig, solver.scheme_for(sig.hurst))
+            VectorFieldSet(2, 2, table, base, features=features)
+    _, sig2 = brownian_driver(8, 2, seed=0)
+    fs = constant_set(np.zeros((2, 2)), drift=lambda x: (zeros(x, 2), zeros(x, 2)))
+    with pytest.raises(ValueError, match="^DV0 must have shape"):
+        solver.solve(fs, np.zeros(2), sig2, solver.scheme_for(sig2.hurst))
+
+
+def test_tables_are_read_only_copies():
+    table, base = np.ones((1, 3)), np.zeros(3)
+    fs = VectorFieldSet(1, 1, table, base, features=lambda t: lambda x: np.copyto(t, x))
+    table[0, 0] = 2.0
+    assert fs.table[0, 0] == 1.0
+    for value in (fs.table, fs.base):
+        with pytest.raises(ValueError, match="read-only"):
+            value[0] = 3.0
 
 
 # ---------------------------------------- reference: five callables per set
@@ -456,15 +458,18 @@ def test_time_loop_matches_five_callable_reference(name, dim, h, factor, m):
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("lead", [(), (1,), (5,), (3, 4), (1000,)])
 def test_elliptic_jet_matches_slot_reference(order, lead):
-    # tobytes, not array_equal: a -0.0 in a zero DV or D2V slot must fail
-    ref = reference_catalog("elliptic_sin_2d", 2)
-    x = np.random.default_rng(order + len(lead)).uniform(-60, 60, lead + (2,))
-    got = fields.make_elliptic_sin_2d().jet(x, order)
-    want = (ref.v(x), ref.first_derivatives(x), ref.second_derivatives(x))[:order]
-    assert len(got) == order
-    for a, b in zip(got, want):
-        assert a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
+    # every catalog set's table jet (elliptic_sin_2d's was the first), against
+    # the slot-by-slot reference; tobytes, not array_equal: a -0.0 in a zero
+    # DV or D2V slot must fail
+    for name, dim in CATALOG_DIMS:
+        ref = reference_catalog(name, dim)
+        x = np.random.default_rng(order + len(lead)).uniform(-60, 60, lead + (dim,))
+        got = fields.resolve_fields(name, dim).jet(x, order)
+        want = (ref.v(x), ref.first_derivatives(x), ref.second_derivatives(x))[:order]
+        assert len(got) == order
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
 
 
 def test_elliptic_time_loop_from_zero_matches_reference():
@@ -477,6 +482,26 @@ def test_elliptic_time_loop_from_zero_matches_reference():
     got = solver._steps(fields.resolve_fields("elliptic_sin_2d", 2), starts, sig.levels, sig.grid.spacing)
     want = reference_steps(reference_catalog("elliptic_sin_2d", 2), starts, sig.levels, sig.grid.spacing)
     assert got.tobytes() == want.tobytes()
+
+@pytest.mark.parametrize("other", ["elliptic_sin_2d", "drift_only"])
+@pytest.mark.parametrize("h, factor", [(0.75, 1), (0.3, 4)])  # step 2; step 3 on a coarsened lift
+def test_a_kept_solution_survives_later_solves(other, h, factor):
+    # a buffer or table that outlived its solve would let the next solve
+    # write into, or read from, states already handed out
+    scheme = solver.scheme_for(h)
+
+    def driver(seed):
+        paths = [fbm.generate_circulant(TimeGrid(257, 0.0, 1.0), 2, h, seed=seed + j)
+                 for j in range(3)]
+        return rp.coarsen(rp.lift_path(paths, scheme.depth), factor)
+
+    fs = fields.resolve_fields("elliptic_sin_2d", 2)
+    starts = np.linspace(0.1, 0.8, 6).reshape(3, 2)
+    kept = solver.solve(fs, starts, driver(70), scheme)
+    solver.solve(fields.resolve_fields(other, 2), starts[::-1], driver(80), scheme)
+    fresh = solver.solve(fs, starts, driver(70), scheme)
+    for a, b in zip(kept, fresh):
+        assert a.values.tobytes() == b.values.tobytes()
 
 # ------------------------------------------------------------------- catalog
 
