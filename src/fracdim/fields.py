@@ -25,8 +25,9 @@ base row alone.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -52,9 +53,10 @@ class VectorFieldSet:
 
     ``table`` (F, W) and ``base`` (W,) hold one column per slot of V, DV and
     D²V, W = n·d·(1 + n + n²); ``features`` is None exactly when F = 0.  Both
-    are copied read-only at construction.  A set with no features and no
-    drift is ``constant``, which lets the solver take its exact
-    cumulative-sum path.
+    are copied read-only at construction, and ``cuts[order - 1]`` is their
+    (table, base) columns of the first ``order`` blocks.  A set with no
+    features and no drift is ``constant``, which lets the solver take its
+    exact cumulative-sum path.
     """
 
     dim_state: int
@@ -64,48 +66,46 @@ class VectorFieldSet:
     features: FeatureMap | None = None
     drift: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     name: str = ""
+    _shapes: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    _ends: tuple[int, ...] = field(init=False, repr=False)
+    cuts: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        width = self.width(3)
+        n, d = self.dim_state, self.dim_noise
+        shapes = ((n, d), (n, n, d), (n, n, n, d))
+        ends = tuple(itertools.accumulate((math.prod(s) for s in shapes), initial=0))
         table, base = np.array(self.table, dtype=float), np.array(self.base, dtype=float)
-        if table.ndim != 2 or table.shape[1] != width or base.shape != (width,):
+        if table.ndim != 2 or table.shape[1] != ends[-1] or base.shape != (ends[-1],):
             raise ValueError(
-                f"table must have shape (F, {width}) and base ({width},), one column per slot "
-                f"of V, DV and D2V; got {table.shape} and {base.shape}"
+                f"table must have shape (F, {ends[-1]}) and base ({ends[-1]},), one column per "
+                f"slot of V, DV and D2V; got {table.shape} and {base.shape}"
             )
         if (self.features is None) != (table.shape[0] == 0):
             raise ValueError("a table needs a feature map exactly when it has feature rows")
-        for key, value in (("table", table), ("base", base)):
-            value.flags.writeable = False
+        table.flags.writeable = base.flags.writeable = False
+        cuts = tuple((table[:, :w], base[:w]) for w in ends[1:])
+        for key, value in (("table", table), ("base", base), ("cuts", cuts), ("_shapes", shapes),
+                           ("_ends", ends)):
             object.__setattr__(self, key, value)
 
     @property
     def constant(self) -> bool:
         return self.features is None and self.drift is None
 
-    def width(self, order: int) -> int:
-        """Columns of the first ``order`` blocks of (V, DV, D²V)."""
-        n = self.dim_state
-        return self.dim_noise * sum(n ** (k + 1) for k in range(order))
-
     def views(self, flat: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-        """V, DV, D²V (the first ``order``) as views of a flat jet of shape (..., width(order))."""
-        n, d, lead = self.dim_state, self.dim_noise, flat.shape[:-1]
-        out, start = [], 0
-        for k in range(order):
-            shape = (n,) * (k + 1) + (d,)
-            out.append(flat[..., start:start + math.prod(shape)].reshape(lead + shape))
-            start += math.prod(shape)
-        return tuple(out)
+        """V, DV, D²V (the first ``order``) as views of a flat jet, one column per slot."""
+        lead, ends = flat.shape[:-1], self._ends
+        return tuple(flat[..., ends[k]:ends[k + 1]].reshape(lead + self._shapes[k])
+                     for k in range(order))
 
     def jet(self, x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
         """The first ``order`` of (V, DV, D²V) at the stacked states ``x``, from one product."""
-        w = self.width(order)
-        t = np.zeros(x.shape[:-1] + self.table.shape[:1])
+        coef, base = self.cuts[order - 1]
+        t = np.zeros(x.shape[:-1] + coef.shape[:1])
         if self.features is not None:
             self.features(t)(x)
-        flat = t @ self.table[:, :w]
-        flat += self.base[:w]
+        flat = t @ coef
+        flat += base
         return self.views(flat, order)
 
     def v(self, x: np.ndarray) -> np.ndarray:

@@ -122,21 +122,20 @@ def _steps(
     the jet, adds the base row, and contracts with ``np.matmul(..., out=)``
     (step 3's V·b3 product with ``np.einsum(..., out=)``), reading the
     levels' k-th increments as views.  So a step allocates no array, apart
-    from a drift's (V0, DV0) and their Taylor pair.  The contractions stay
-    one small product per member, so a member's states do not depend on
-    the block it is solved in.  A member whose state passes the overflow
-    guard goes on, possibly as inf or NaN; ``solve`` finds its step
-    afterwards.
+    from a drift's (V0, DV0) and their Taylor pair.  Each contraction is a
+    batched product over the members' own small matrices, so a member's
+    states do not depend on the block it is solved in.  A member whose
+    state passes the overflow guard goes on, possibly as inf or NaN;
+    ``solve`` finds its step afterwards.
     """
     depth = len(levels)
     b1, b2 = levels[0], levels[1]
     m, n_steps, d = b1.shape
     n = fields.dim_state
-    w = fields.width(depth)
-    coef, base = fields.table[:, :w], fields.base[:w]
+    coef, base = fields.cuts[depth - 1]
     feats = np.zeros((m, coef.shape[0]))
     write = fields.features(feats) if fields.features is not None else None
-    flat = np.empty((m, w))
+    flat = np.empty((m, coef.shape[1]))
     vx, dv, *d2v = fields.views(flat, depth)
     dvx = dv.reshape(m, n, n * d)
     col, term = np.empty((m, n, 1)), np.empty((m, n, 1))
@@ -144,7 +143,7 @@ def _steps(
     c = np.empty((m, n, d))
     c_col = c.reshape(m, n * d, 1)
     if depth >= 3:
-        b3 = levels[2].reshape(m, n_steps, d, d * d)
+        b3 = levels[2].reshape(m, n_steps, d, d * d)  # a view for lift_path's and coarsen's layouts
         d2vx = d2v[0].reshape(m, n, n * n * d)
         t1 = np.empty((m, n, d * d))
         t1_blocks, t1_rows = t1.reshape(m, n, d, d), t1.reshape(m, n * d, d)
