@@ -498,10 +498,10 @@ def test_a_kept_solution_survives_later_solves(other, h, factor):
     fs = fields.resolve_fields("elliptic_sin_2d", 2)
     starts = np.linspace(0.1, 0.8, 6).reshape(3, 2)
     kept = solver.solve(fs, starts, driver(70), scheme)
+    want = [sol.values.tobytes() for sol in kept]
     solver.solve(fields.resolve_fields(other, 2), starts[::-1], driver(80), scheme)
-    fresh = solver.solve(fs, starts, driver(70), scheme)
-    for a, b in zip(kept, fresh):
-        assert a.values.tobytes() == b.values.tobytes()
+    assert [sol.values.tobytes() for sol in kept] == want
+    assert [sol.values.tobytes() for sol in solver.solve(fs, starts, driver(70), scheme)] == want
 
 # ------------------------------------------------------------------- catalog
 
