@@ -20,8 +20,9 @@ Every set gives its jet in one form: a feature map t(x) of F features, a
 of V, DV and D²V in that order, each block in C order.  The jet is the
 product t(x) @ table + base, read as V, DV and D²V through views of the
 one flat row, so a caller that owns the buffers (the solver's time loop)
-can refill them in place.  A set with no features has a constant jet, the
-base row alone.
+can refill them in place.  A feature map takes the feature buffer and
+returns the writer that fills it, so that caller binds its buffer once.  A
+set with no features has a constant jet, the base row alone.
 """
 from __future__ import annotations
 
