@@ -4,10 +4,13 @@ Configs are flat ``key = value`` text with one optional ``[task]`` section per
 estimator carrying its parameters.  ``TASK_PARAMS`` is the one table of every
 section key, with its type and default; a spec rejects an unknown or wrongly
 typed section key, however it was built, and rejects settings that one of
-its tasks cannot use (``_TASK_RULES``).  Parsing fills defaults and rejects
-unknown or repeated keys with distinct messages.  The sampler and the solver
-scheme are not keys: a grid starting at 0 is drawn by the circulant sampler and
-any other by Cholesky, and the scheme is the one the Hurst index needs.
+its tasks cannot use (``_TASK_RULES``) or a name listed twice in ``fields`` or
+``tasks``.  Parsing fills defaults and rejects unknown or repeated keys with
+distinct messages.  The sampler and the solver scheme are not keys: a grid
+starting at 0 is drawn by the circulant sampler and any other by Cholesky, and
+the scheme is the one the Hurst index needs.  ``solve_block`` is the one way a
+task gets its members: drawn and solved a chunk of ``_BLOCK_STATES``
+member-steps at a time.
 """
 from __future__ import annotations
 
@@ -20,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .fbm import (CHOLESKY_MAX_N, HurstParam, SamplePath, TimeGrid, _circulant_values,
-                  generate_cholesky, generate_circulant)
+                  generate_cholesky)
+from .fbm import generate_circulant  # noqa: F401  bound for the benchmark's tracer (bench/spans.py)
 from .fields import VectorFieldSet, resolve_fields
 from .roughpath import lift_path
 from .solver import SolverScheme, _constant_field_path, scheme_for, solve
@@ -65,15 +69,9 @@ TASK_PARAMS: dict[str, dict] = {
 
 ALL_TASKS = tuple(TASK_PARAMS)
 
-#: most states (members x grid points) one block solve holds at once, which
-#: bounds its memory; 2^20 is 16 members of the 2^16-step configs
+#: most member-steps (members x intervals) one chunk holds, for every field
+#: set, which bounds its memory; 2^20 is 16 members of the 2^16-step configs
 _BLOCK_STATES = 2**20
-#: the same for one stacked exact path of constant fields.  A chunk is a few
-#: arrays of its states (the draw, its FFT buffer, the path); the per-member
-#: objects are gone, so chunk size trades peak memory against per-chunk calls.
-#: On the many_members benchmark 2^18 states ran 5-10 % faster than 2^16 but
-#: raised peak memory by up to 0.5 MB.  At 2^16 steps a chunk is one member.
-_CONSTANT_STATES = 2**16
 
 
 def _increasing_positive(values) -> bool:
@@ -190,6 +188,10 @@ class ExperimentSpec:
             raise ConfigError("ensemble must be >= 1")
         if self.base_seed < 0 or self.base_seed + self.ensemble - 1 >= 2**64:
             raise ConfigError("member seeds (base_seed + member index) must lie in [0, 2^64)")
+        for key, names in (("fields", self.fields), ("tasks", self.tasks)):
+            for i, name in enumerate(names):
+                if name in names[:i]:  # each would run, and be reported, twice
+                    raise ConfigError(f"duplicate name '{name}' in {key}")
         for fname in self.fields:
             try:
                 resolve_fields(fname, self.dim)
@@ -297,19 +299,14 @@ def member_seed(spec: ExperimentSpec, index: int) -> int:
     return spec.base_seed + index
 
 
-def generate_driver(
-    spec: ExperimentSpec, index: int | Sequence[int]
-) -> SamplePath | np.ndarray:
-    """Member ``index``'s driver, or for a sequence of indices their drivers'
-    values stacked as one (k, n_points, d) array.
+def generate_driver(spec: ExperimentSpec, indices: Sequence[int]) -> np.ndarray:
+    """The drivers of members ``indices``, their values stacked as one
+    (k, n_points, d) array.
 
-    A sequence is drawn in one circulant call (Cholesky draws member by member);
-    each row is bit-identical to its member's own draw.
+    A grid from 0 is drawn in one circulant call, any other member by member
+    by Cholesky; each row is bit-identical to its member's own draw.
     """
-    if isinstance(index, numbers.Integral):
-        draw = generate_cholesky if spec.generator == "cholesky" else generate_circulant
-        return draw(spec.grid, spec.dim, spec.hurst, member_seed(spec, index))
-    seeds = [member_seed(spec, i) for i in index]
+    seeds = [member_seed(spec, i) for i in indices]
     if spec.generator == "cholesky":
         return np.stack([generate_cholesky(spec.grid, spec.dim, spec.hurst, s).values
                          for s in seeds])
@@ -329,7 +326,7 @@ def _draw_chunk(spec: ExperimentSpec, chunk: list[int]) -> tuple[list[int], np.n
     drawn, rows, failed = [], [], {}
     for i in chunk:
         try:
-            rows.append(generate_driver(spec, i).values)
+            rows.append(generate_driver(spec, [i])[0])
             drawn.append(i)
         except Exception as exc:  # this member fails; the block goes on
             failed[i] = exc
@@ -363,17 +360,17 @@ def solve_block(
 ) -> Iterator[tuple[list[int], np.ndarray, dict]]:
     """Generate -> lift -> solve from 0 for each member, a chunk at a time, in index order.
 
-    Yields one triple per chunk: the surviving indices, their states as one
+    The field set is ``fields_name``, by default the spec's first.  Yields one
+    triple per chunk: the surviving indices, their states as one
     (k, n_points, d) array, and {index: exception} for the members that failed
-    alone.  A chunk is one driver draw, then one solve of up to
-    ``_BLOCK_STATES`` states in one time loop, or for constant field sets
-    (identity) one stacked exact path of up to ``_CONSTANT_STATES`` states,
-    which needs no lift.  Each member's states are bit-identical to its solve
-    alone.
+    alone.  A chunk is up to ``_BLOCK_STATES`` member-steps: one driver draw,
+    then one solve in one time loop, or for constant field sets (identity) one
+    stacked exact path, which needs no lift.  Each member's states are
+    bit-identical to its solve alone.
     """
     fs = resolve_fields(fields_name or spec.fields[0], spec.dim)
     indices = list(indices)
-    size = max(1, (_CONSTANT_STATES if fs.constant else _BLOCK_STATES) // spec.grid.n_points)
+    size = max(1, _BLOCK_STATES // spec.n_points)  # n_points counts the intervals
     for a in range(0, len(indices), size):
         yield _solve_chunk(spec, fs, indices[a:a + size])
 

@@ -13,10 +13,12 @@ It sends one contiguous block of members to each of the ``jobs`` workers; a
 block is drawn and solved a chunk at a time (``config.solve_block``: one
 driver draw, then one time loop, or one stacked exact path for constant
 fields), and each chunk's states go to the task's worker as one
-(members, n_points, d) array.  Tail, density and bivariate reduce or slice
-the array; the other workers read it row by row.  Member seeds are
-base_seed + index, and a member's solution does not depend on the block or
-chunk it is solved in, so parallel execution order can never change a result.
+(members, n_points, d) array.  Every task takes its members this way;
+``generate`` writes the ``identity`` solution from 0, which is the driver bit
+for bit.  Tail, density and bivariate reduce or slice the array; the other
+workers read it row by row.  Member seeds are base_seed + index, and a
+member's solution does not depend on the block or chunk it is solved in, so
+parallel execution order can never change a result.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import scipy
 from scipy import stats as sps
 
 from . import __version__, density as dl, dimension as dm
-from .config import ALL_TASKS, ExperimentSpec, generate_driver, member_seed, solve_block
+from .config import ALL_TASKS, ExperimentSpec, member_seed, solve_block
 from .config import solve_member  # noqa: F401  bound for the benchmark's tracer (bench/spans.py)
 from .fbm import HurstParam, SamplePath, write_path
 from .fields import resolve_fields
@@ -101,12 +103,12 @@ class RunReport:
 def _run_block(worker, spec: ExperimentSpec, indices, args, fields=None):
     """``worker`` over the members of one block: ([(indices, results)], {seed: error}).
 
-    The worker is called as ``worker(spec, indices, states, *args)`` and returns
-    one result per index.  With ``fields`` the block is solved under that field
-    set a chunk at a time (``solve_block``) and the worker takes each chunk's
-    survivors with their (k, n_points, d) states; without, it takes the whole
-    block and ``states`` is None.  If a call raises, the worker is called again
-    on each of its members alone, so a failure is tallied under its member only.
+    The block is solved under the field set ``fields`` (by default the spec's
+    first) a chunk at a time (``solve_block``), and the worker is called as
+    ``worker(spec, indices, states, *args)`` on each chunk's survivors with
+    their (k, n_points, d) states; it returns one result per index.  If a call
+    raises, the worker is called again on each of its members alone, so a
+    failure is tallied under its member only.
     Results stay as the worker returned them, one entry per call, which keeps a
     chunk's array one object when it is sent back from a worker process.
     """
@@ -115,17 +117,15 @@ def _run_block(worker, spec: ExperimentSpec, indices, args, fields=None):
     def fail(i, exc):
         failures[member_seed(spec, i)] = f"{type(exc).__name__}: {exc}"
 
-    chunks = [(list(indices), None, {})] if fields is None else solve_block(spec, indices, fields)
-    for done, states, failed in chunks:
+    for done, states, failed in solve_block(spec, indices, fields):
         for i, exc in failed.items():
             fail(i, exc)
         try:
             parts.append((done, worker(spec, done, states, *args)))
         except Exception:  # called again member by member, so a failure is its member's alone
             for r, i in enumerate(done):
-                row = None if states is None else states[r:r + 1]
                 try:
-                    parts.append(([i], worker(spec, [i], row, *args)))
+                    parts.append(([i], worker(spec, [i], states[r:r + 1], *args)))
                 except Exception as exc:  # tallied, aborts only past the rate cap
                     fail(i, exc)
     return parts, failures
@@ -135,8 +135,9 @@ def _member_map(worker, spec: ExperimentSpec, indices, jobs: int, *args, fields=
     """Failure-tallied map of a member worker over the ensemble (see ``_run_block``).
 
     At ``jobs > 1`` the pool runs min(members, jobs) contiguous blocks, one per
-    worker process.  Returns ({member index: result}, {member seed: error}),
-    both in index order.
+    worker process; it is sized to the blocks, because a forking pool starts
+    all its processes at the first submit.  Returns ({member index: result},
+    {member seed: error}), both in index order.
     """
     indices = list(indices)
     if jobs <= 1:
@@ -147,7 +148,7 @@ def _member_map(worker, spec: ExperimentSpec, indices, jobs: int, *args, fields=
         bounds = [j * q + min(j, r) for j in range(n_blocks + 1)]
         blocks = [indices[a:b] for a, b in zip(bounds, bounds[1:])]
         parts, failures = [], {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=n_blocks) as pool:
             futures = [pool.submit(_run_block, worker, spec, b, args, fields) for b in blocks]
             for block, fut in zip(blocks, futures):
                 try:
@@ -175,13 +176,9 @@ def _paths(spec, indices, states):
 
 
 def _write_worker(spec, indices, states, dest_dir):
-    """Write each member's solution as .frd, or without ``states`` its driver."""
-    if states is None:
-        paths = (generate_driver(spec, k) for k in indices)
-    else:
-        paths = _paths(spec, indices, states)
+    """Write each member's solution as .frd."""
     files = []
-    for k, path in zip(indices, paths):
+    for k, path in zip(indices, _paths(spec, indices, states)):
         files.append(str(dest_dir / f"member_{k:06d}.frd"))
         write_path(path, files[-1])
     return files
@@ -235,7 +232,9 @@ def _write_csv(path, header: str, lines) -> None:
 def _task_generate(spec, jobs, out_dir, results, verdicts, rows):
     path_dir = out_dir / "paths"
     path_dir.mkdir(parents=True, exist_ok=True)
-    files, failures = _member_map(_write_worker, spec, range(spec.ensemble), jobs, path_dir)
+    # the identity solution from 0 is the driver itself, bit for bit
+    files, failures = _member_map(_write_worker, spec, range(spec.ensemble), jobs, path_dir,
+                                  fields="identity")
     results["generate"] = {"files": list(files.values()), "failures": failures}
 
 
@@ -284,14 +283,11 @@ def _dim_task(kind, spec, jobs, out_dir, results, verdicts, rows):
 def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
     p = spec.task_settings("levelset")
     restrict = (p["t_lo"], p["t_hi"])
-    fname = spec.fields[0]
     dh = spec.dim * spec.hurst
     hit_floor, tol = p["levelset_hit_floor"], p["slope_tol"]
     if dh < 1.0:
         target = 1.0 - dh
-        out, failures = _member_map(
-            _levelset_worker, spec, range(spec.ensemble), jobs, restrict, fields=fname
-        )
+        out, failures = _member_map(_levelset_worker, spec, range(spec.ensemble), jobs, restrict)
         slopes = []
         hits = 0
         for k, (times, eta) in out.items():
@@ -319,9 +315,7 @@ def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
         results["levelset"] = {"hit_fraction": frac, "median_slope": med, "slopes": slopes,
                                "failures": failures}
     else:
-        out, failures = _member_map(
-            _hit_worker, spec, range(spec.ensemble), jobs, restrict, fields=fname
-        )
+        out, failures = _member_map(_hit_worker, spec, range(spec.ensemble), jobs, restrict)
         eta0 = 8.0 * next(iter(out.values()))[1]  # the lowest-index survivor's tube floor
         etas = [eta0 / 2**j for j in range(p["halvings"])]
         fracs = [float(np.mean([dist <= e for dist, _ in out.values()])) for e in etas]
@@ -351,8 +345,7 @@ def _states_at(spec, jobs, s, t):
     the spread of the first members' increments; the failures."""
     grid = spec.grid
     idx = [int(round((u - grid.t_start) / grid.spacing)) for u in (s, t)]
-    out, failures = _member_map(_pair_worker, spec, range(spec.ensemble), jobs, idx,
-                                fields=spec.fields[0])
+    out, failures = _member_map(_pair_worker, spec, range(spec.ensemble), jobs, idx)
     samples = np.array(list(out.values())).reshape(len(out), 2, spec.dim)
     pilot = samples[:256]  # the first members set the scale of the evaluation grid
     sd = float((pilot[:, 1, :] - pilot[:, 0, :]).std())
@@ -361,7 +354,6 @@ def _states_at(spec, jobs, s, t):
 
 def _task_tail(spec, jobs, out_dir, results, verdicts, rows):
     p = spec.task_settings("tail")
-    fname = spec.fields[0]
     interval = (p["s"], p["t"])
     expected = min(2.0 * spec.hurst + 1.0, 2.0)
     ladder = [1.6, 1.8, 2.0, 2.2]
@@ -371,8 +363,7 @@ def _task_tail(spec, jobs, out_dir, results, verdicts, rows):
     halvings = p["halvings"]
     widths = [(interval[1] - interval[0]) / 2**j for j in range(halvings)]
     windows = [spec.grid.window(interval[0], interval[0] + w) for w in widths]
-    out, failures = _member_map(_sup_worker, spec, range(spec.ensemble), jobs, windows,
-                                fields=fname)
+    out, failures = _member_map(_sup_worker, spec, range(spec.ensemble), jobs, windows)
     sups = np.array(list(out.values()))  # (m, halvings)
 
     curve = dl.tail_curve(sups[:, 0], interval, ensemble=spec.ensemble)
@@ -495,16 +486,13 @@ def _task_bivariate(spec, jobs, out_dir, results, verdicts, rows):
 
 def _task_energy(spec, jobs, out_dir, results, verdicts, rows):
     p = spec.task_settings("energy")
-    fname = spec.fields[0]
     crit = min(spec.dim, 1.0 / spec.hurst)
     gammas = (crit - p["gamma_offset"], crit + p["gamma_offset"])
     levels = p["levels"]
     factors = [2 ** (levels - 1 - j) for j in range(levels)]  # coarse to fine
     stable_cap = p["energy_stable_growth"]
     grow_last, grow_total = p["energy_grow_last"], p["energy_grow_total"]
-    out, failures = _member_map(
-        _energy_worker, spec, range(spec.ensemble), jobs, gammas, factors, fields=fname
-    )
+    out, failures = _member_map(_energy_worker, spec, range(spec.ensemble), jobs, gammas, factors)
     info = {}
     for i, (label, gamma) in enumerate(zip(("below", "above"), gammas)):
         arr = np.array([values[i] for values in out.values()])  # (m, levels)
@@ -533,7 +521,6 @@ def _task_energy(spec, jobs, out_dir, results, verdicts, rows):
 
 def _task_mu(spec, jobs, out_dir, results, verdicts, rows):
     p = spec.task_settings("mu")
-    fname = spec.fields[0]
     gamma = 1.0 - (1.0 + p["delta"]) * spec.dim * spec.hurst
     if gamma <= 0:
         verdicts.append(Verdict("mollified level-set measure bounds (need dH < 1)",
@@ -543,7 +530,7 @@ def _task_mu(spec, jobs, out_dir, results, verdicts, rows):
     restrict = (p["t_lo"], spec.t_range[1])
     mass_floor, final_cap = p["mu_mass_floor"], p["mu_final_growth"]
     out, failures = _member_map(
-        _mu_worker, spec, range(spec.ensemble), jobs, gamma, sharpness, restrict, fields=fname
+        _mu_worker, spec, range(spec.ensemble), jobs, gamma, sharpness, restrict
     )
     arr = np.array(list(out.values()))  # (m, len(sharpness), 2)
     mass_means = arr[:, :, 0].mean(axis=0)

@@ -69,8 +69,11 @@ def test_derived_keys_rejected_with_their_line(line):
          r"duplicate key 'halvings' in \[tail\] \(lines 4 and 6\)"),
         ("name = x\nhurst = 0.5\n[mu]\ndelta = 0.2\n[tail]\ns = 0.1\n[mu]\ndelta = 0.3\n",
          r"duplicate key 'delta' in \[mu\] \(lines 4 and 8\)"),
+        ("name = x\nhurst = 0.5\nfields = identity, identity\n",
+         r"duplicate name 'identity' in fields"),
+        ("name = x\nhurst = 0.5\ntasks = tail, mu, tail\n", r"duplicate name 'tail' in tasks"),
     ],
-    ids=["top_level", "in_section", "in_reopened_section"],
+    ids=["top_level", "in_section", "in_reopened_section", "fields", "tasks"],
 )
 def test_duplicate_key_rejected(text, message):
     with pytest.raises(ConfigError, match=message):
@@ -219,12 +222,12 @@ def test_generator_dispatch_matches_direct_calls():
     spec = ExperimentSpec(name="x", hurst=0.6, n_points=64, base_seed=9)
     assert spec.generator == "circulant"
     direct = fbm.generate_circulant(spec.grid, 1, 0.6, 9)
-    assert np.array_equal(generate_driver(spec, 0).values, direct.values)
+    assert np.array_equal(generate_driver(spec, [0])[0], direct.values)
     late = parse_spec("name = x\nhurst = 0.6\nn_points = 64\nt_start = 0.5\nbase_seed = 9\n")
     assert late.generator == "cholesky"
     assert late.grid.t_start == 0.5
     direct = fbm.generate_cholesky(late.grid, 1, 0.6, 9)
-    assert np.array_equal(generate_driver(late, 0).values, direct.values)
+    assert np.array_equal(generate_driver(late, [0])[0], direct.values)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, None], ids=["1", "3", "whole"])
@@ -238,17 +241,29 @@ def test_identity_member_solution_does_not_depend_on_its_chunk(monkeypatch, chun
     spec = ExperimentSpec(name="x", hurst=0.4, dim=dim, n_points=64, t_range=(t_start, 1.0),
                           ensemble=8, base_seed=7)
     if chunk is not None:
-        monkeypatch.setattr(config, "_CONSTANT_STATES", chunk * spec.grid.n_points)
+        monkeypatch.setattr(config, "_BLOCK_STATES", chunk * spec.n_points)
     fs = resolve_fields("identity", dim)
     sols = {k: values for done, states, _ in config.solve_block(spec, range(spec.ensemble))
             for k, values in zip(done, states)}
     assert list(sols) == list(range(spec.ensemble))
     for k, values in sols.items():
         # the member's own draw and exact path, as one member alone
-        driver = generate_driver(spec, k)
-        alone = _constant_field_path(fs, np.zeros(dim), driver.values)
+        driver = generate_driver(spec, [k])[0]
+        alone = _constant_field_path(fs, np.zeros(dim), driver)
         assert config.solve_member(spec, k).seed == 7 + k
         assert values.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("fields, dim", [("identity", 1), ("elliptic_sin_2d", 2)])
+def test_chunk_budget_is_divided_by_the_step_count(monkeypatch, fields, dim):
+    # every field set shares one budget of member-steps; a 2^6-step member holds 2^6
+    from fracdim import config
+
+    spec = ExperimentSpec(name="x", hurst=0.75, dim=dim, n_points=64, ensemble=10,
+                          fields=(fields,))
+    monkeypatch.setattr(config, "_BLOCK_STATES", 4 * 64)
+    chunks = [done for done, _, _ in config.solve_block(spec, range(spec.ensemble))]
+    assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
 
 
 def test_circulant_requires_zero_start():

@@ -35,6 +35,23 @@ def test_generate_is_byte_stable(tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("dim, t_start", [(1, 0.0), (2, 0.0), (2, 0.5)],
+                         ids=["circulant-d1", "circulant-d2", "cholesky-d2"])
+def test_generate_writes_each_members_draw(tmp_path, dim, t_start, jobs):
+    # gen writes the identity solution from 0, which must be the draw bit for bit
+    from fracdim import fbm
+
+    spec = small_spec(tmp_path, dim=dim, n_points=256, t_range=(t_start, 1.0), ensemble=5)
+    run(spec, tasks=("generate",), jobs=jobs)
+    draw = fbm.generate_cholesky if spec.generator == "cholesky" else fbm.generate_circulant
+    for k in range(spec.ensemble):
+        own = tmp_path / f"draw_{k}.frd"
+        fbm.write_path(draw(spec.grid, dim, spec.hurst, spec.base_seed + k), own)
+        written = tmp_path / "small" / "paths" / f"member_{k:06d}.frd"
+        assert written.read_bytes() == own.read_bytes()
+
+
 def test_artifacts_stay_under_named_directory(tmp_path):
     spec = small_spec(tmp_path, ensemble=2)
     run(spec, tasks=("generate", "solve"))
@@ -275,6 +292,25 @@ def test_dead_worker_process_fails_its_block(tmp_path):
         _member_map(_dies_on_member_3, small_spec(tmp_path), range(16), 2)
 
 
+def test_pool_starts_one_process_per_block(tmp_path, monkeypatch):
+    # a forking pool starts max_workers processes at its first submit
+    from concurrent.futures import ProcessPoolExecutor
+
+    from fracdim import harness
+
+    sizes = []
+
+    def spy(max_workers):
+        sizes.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", spy)
+    out, failures = harness._member_map(harness._pair_worker, small_spec(tmp_path), range(2), 8,
+                                        [0, 1])
+    assert sizes == [2]
+    assert list(out) == [0, 1] and not failures
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_tail_chunk_reduction_is_sup_increment_per_member(dim):
     from fracdim import density as dl
@@ -348,14 +384,9 @@ def _failure_maps(node):
                 yield from _failure_maps(value)
 
 
-def _members(indices):
-    """The members of one ``generate_driver`` call: an index or a chunk of them."""
-    return [indices] if isinstance(indices, int) else list(indices)
-
-
 @pytest.mark.parametrize(
     "task, n_points, ensemble",
-    [("dim_image", 256, 100), ("levelset", 1024, 100), ("tail", 64, 1001),
+    [("generate", 256, 100), ("dim_image", 256, 100), ("levelset", 1024, 100), ("tail", 64, 1001),
      ("energy", 64, 100), ("mu", 256, 100), ("solve", 256, 100),
      ("density", 64, 10_000), ("bivariate", 64, 100_000)],
 )
@@ -366,7 +397,7 @@ def test_member_failure_is_reported_under_its_seed(tmp_path, monkeypatch, task, 
 
     def member_1_fails(spec, indices):
         # a chunk holding member 1 fails its draw, then is drawn member by member
-        if 1 in _members(indices):
+        if 1 in indices:
             raise ValueError("boom")
         return real(spec, indices)
 
@@ -389,20 +420,13 @@ def test_member_failing_the_guard_in_its_block_fails_alone(tmp_path, monkeypatch
     # member 1's driver jumps by 1e13 at step 40, so its state passes the
     # overflow guard there, inside a block with the 99 other members
     from fracdim import config
-    from fracdim.fbm import SamplePath, read_path
+    from fracdim.fbm import read_path
     from fracdim.solver import SolverError
 
     real = config.generate_driver
 
-    def jump(driver):
-        values = driver.values.copy()
-        values[40:] += 1e13
-        return SamplePath(driver.grid, values, hurst=driver.hurst, seed=driver.seed)
-
     def jump_on_member_1(spec, indices):
         drivers = real(spec, indices)
-        if isinstance(indices, int):
-            return jump(drivers) if indices == 1 else drivers
         if 1 in indices:  # the stacked values of a chunk
             drivers[list(indices).index(1), 40:] += 1e13
         return drivers
@@ -433,8 +457,8 @@ def _count_solves(monkeypatch, failing=()):
     calls = Counter()
 
     def counted(spec, indices):
-        calls.update(_members(indices))
-        if set(failing) & set(_members(indices)):
+        calls.update(indices)
+        if set(failing) & set(indices):
             raise ValueError("boom")
         return real(spec, indices)
 
