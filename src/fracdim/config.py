@@ -4,13 +4,13 @@ Configs are flat ``key = value`` text with one optional ``[task]`` section per
 estimator carrying its parameters.  ``TASK_PARAMS`` is the one table of every
 section key, with its type and default; a spec rejects an unknown or wrongly
 typed section key, however it was built, and rejects settings that one of
-its tasks cannot use (``_TASK_RULES``) or a name listed twice in ``fields`` or
-``tasks``.  Parsing fills defaults and rejects unknown or repeated keys with
-distinct messages.  The sampler and the solver scheme are not keys: a grid
-starting at 0 is drawn by the circulant sampler and any other by Cholesky, and
-the scheme is the one the Hurst index needs.  ``solve_block`` is the one way a
-task gets its members: drawn and solved a chunk of ``_BLOCK_STATES``
-member-steps at a time.
+its tasks cannot use (``_TASK_RULES``), an empty ``fields`` or a name listed
+twice in ``fields`` or ``tasks``.  Parsing fills defaults and rejects unknown or
+repeated keys with distinct messages.  Every grid runs from 0, where each
+solution starts, to ``t_end``.  The sampler and the solver scheme are not keys:
+drivers are drawn by the circulant sampler, and the scheme is the one the Hurst
+index needs.  ``solve_block`` is the one way a task gets its members: drawn and
+solved a chunk of ``_BLOCK_STATES`` member-steps at a time.
 """
 from __future__ import annotations
 
@@ -22,9 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fbm import (CHOLESKY_MAX_N, HurstParam, SamplePath, TimeGrid, _circulant_values,
-                  generate_cholesky)
-from .fbm import generate_circulant  # noqa: F401  bound for the benchmark's tracer (bench/spans.py)
+from .fbm import HurstParam, SamplePath, TimeGrid, _circulant_values
+from .fbm import generate_cholesky, generate_circulant  # noqa: F401  bound for the benchmark's tracer (bench/spans.py)
 from .fields import VectorFieldSet, resolve_fields
 from .roughpath import lift_path
 from .solver import SolverScheme, _constant_field_path, scheme_for, solve
@@ -52,12 +51,11 @@ TASK_PARAMS: dict[str, dict] = {
     "solve": {},
     "dim_image": {"octaves": 4, "slope_tol": 0.15},
     "dim_graph": {"octaves": 4, "slope_tol": 0.15},
-    "levelset": {"t_lo": 0.1, "t_hi": lambda spec: float(spec.t_range[1]), "halvings": 4,
+    "levelset": {"t_lo": 0.1, "t_hi": lambda spec: float(spec.t_end), "halvings": 4,
                  "slope_tol": 0.15, "levelset_hit_floor": 0.10, "levelset_min_points": 32},
-    "tail": {"s": lambda spec: float(spec.t_range[0]), "t": lambda spec: float(spec.t_range[1]),
-             "halvings": 4, "xi_quantile": 0.9,
+    "tail": {"s": 0.0, "t": lambda spec: float(spec.t_end), "halvings": 4, "xi_quantile": 0.9,
              "tail_r2_floor": 0.9, "tail_delta_r2": 0.02, "tail_rank_corr": 0.8},
-    "density": {"s": 0.1, "t": lambda spec: 0.9 * spec.t_range[1],
+    "density": {"s": 0.1, "t": lambda spec: 0.9 * spec.t_end,
                 "envelope_r2_increment": 0.85, "kde_mode_rel_tol": 0.10},
     "bivariate": {"s": 0.25, "t": 0.75,
                   "envelope_r2_bivariate": 0.80, "bivariate_oracle_rel_tol": 0.15},
@@ -80,9 +78,8 @@ def _increasing_positive(values) -> bool:
 
 #: the KDE tasks read each member's state at times s < t, away from 0 and on the grid
 _KDE_TIMES = (
-    ("s", lambda p, spec: max(0.1, spec.t_range[0]) <= p["s"] < p["t"],
-     "max(0.1, t_start) <= s < t"),
-    ("t", lambda p, spec: p["t"] <= spec.t_range[1], "t <= t_end"),
+    ("s", lambda p, spec: 0.1 <= p["s"] < p["t"], "0.1 <= s < t"),
+    ("t", lambda p, spec: p["t"] <= spec.t_end, "t <= t_end"),
 )
 
 #: task -> (key, test of its settings and the spec, what the test needs); a task
@@ -96,18 +93,16 @@ _TASK_RULES: dict[str, tuple] = {
     "mu": (
         ("sharpness", lambda p, spec: _increasing_positive(p["sharpness"]),
          "at least 2 strictly increasing positive values"),
-        ("t_lo",
-         lambda p, spec: 0 < p["t_lo"] and spec.t_range[0] <= p["t_lo"] < spec.t_range[1],
-         "0 < t_lo and t_start <= t_lo < t_end"),
+        ("t_lo", lambda p, spec: 0 < p["t_lo"] < spec.t_end, "0 < t_lo < t_end"),
     ),
     # the windows read each member on [t_lo, t_end], [t_lo, t_hi] and [s, t], inside the grid
     "levelset": (
-        ("t_lo", lambda p, spec: spec.t_range[0] <= p["t_lo"] < p["t_hi"], "t_start <= t_lo < t_hi"),
-        ("t_hi", lambda p, spec: p["t_hi"] <= spec.t_range[1], "t_hi <= t_end"),
+        ("t_lo", lambda p, spec: 0 <= p["t_lo"] < p["t_hi"], "0 <= t_lo < t_hi"),
+        ("t_hi", lambda p, spec: p["t_hi"] <= spec.t_end, "t_hi <= t_end"),
     ),
     "tail": (
-        ("s", lambda p, spec: spec.t_range[0] <= p["s"] < p["t"], "t_start <= s < t"),
-        ("t", lambda p, spec: p["t"] <= spec.t_range[1], "t <= t_end"),
+        ("s", lambda p, spec: 0 <= p["s"] < p["t"], "0 <= s < t"),
+        ("t", lambda p, spec: p["t"] <= spec.t_end, "t <= t_end"),
     ),
     "density": _KDE_TIMES,
     "bivariate": _KDE_TIMES,
@@ -133,9 +128,9 @@ def _names(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-#: top-level key -> converter from its text; t_start and t_end form t_range
+#: top-level key -> converter from its text
 _TOP_LEVEL = {
-    "name": str, "hurst": float, "dim": int, "n_points": int, "t_start": float, "t_end": float,
+    "name": str, "hurst": float, "dim": int, "n_points": int, "t_end": float,
     "fields": _names, "ensemble": int, "base_seed": int, "output_dir": str, "tasks": _names,
 }
 
@@ -144,20 +139,27 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _check_unique(key: str, names: Sequence[str]) -> None:
+    """Reject a name listed twice in ``key``: it would run, and be reported, twice."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"duplicate name '{name}' in {key}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Full declarative description of one run.
 
-    ``generator`` and ``scheme`` are derived, not set: ``circulant`` when the grid
-    starts at 0, else ``cholesky``; ``step2_davie`` for H > 1/3, else ``step3``.
+    The grid has ``n_points`` steps from 0 to ``t_end``, and every member's
+    solution starts at 0 at time 0.  ``scheme`` is derived, not set:
+    ``step2_davie`` for H > 1/3, else ``step3``.
     """
 
     name: str
     hurst: float
     dim: int = 1
     n_points: int = 4096
-    t_range: tuple[float, float] = (0.0, 1.0)
-    generator: str = field(init=False)
+    t_end: float = 1.0
     fields: tuple[str, ...] = ("identity",)
     scheme: str = field(init=False)
     ensemble: int = 1
@@ -178,20 +180,16 @@ class ExperimentSpec:
             raise ConfigError("dim must be >= 1")
         if self.n_points < 2 or self.n_points & (self.n_points - 1):
             raise ConfigError("n_points must be a power of two")
-        if self.t_range[1] <= self.t_range[0] or self.t_range[0] < 0:
-            raise ConfigError("t_range must satisfy 0 <= start < end")
-        object.__setattr__(self, "generator", "circulant" if self.t_range[0] == 0 else "cholesky")
-        if self.generator == "cholesky" and self.n_points + 1 > CHOLESKY_MAX_N:
-            raise ConfigError(f"a grid starting after t = 0 is drawn by cholesky, which holds "
-                              f"at most {CHOLESKY_MAX_N} points (n_points + 1)")
+        if not 0 < self.t_end < float("inf"):
+            raise ConfigError("t_end must be a positive finite number")
         if self.ensemble < 1:
             raise ConfigError("ensemble must be >= 1")
         if self.base_seed < 0 or self.base_seed + self.ensemble - 1 >= 2**64:
             raise ConfigError("member seeds (base_seed + member index) must lie in [0, 2^64)")
-        for key, names in (("fields", self.fields), ("tasks", self.tasks)):
-            for i, name in enumerate(names):
-                if name in names[:i]:  # each would run, and be reported, twice
-                    raise ConfigError(f"duplicate name '{name}' in {key}")
+        if not self.fields:
+            raise ConfigError("fields must name at least one field set")
+        _check_unique("fields", self.fields)
+        _check_unique("tasks", self.tasks)
         for fname in self.fields:
             try:
                 resolve_fields(fname, self.dim)
@@ -208,7 +206,7 @@ class ExperimentSpec:
     @property
     def grid(self) -> TimeGrid:
         # n_points counts sampling steps; the grid adds the pinned origin
-        return TimeGrid(self.n_points + 1, self.t_range[0], self.t_range[1])
+        return TimeGrid(self.n_points + 1, 0.0, self.t_end)
 
     def task_settings(self, task: str) -> dict:
         """Every parameter and window of the task: the section over the table's defaults."""
@@ -286,8 +284,7 @@ def parse_spec(text: str) -> ExperimentSpec:
     for key in ("name", "hurst"):
         if key not in top:
             raise ConfigError(f"{key} is required")
-    t_range = (top.pop("t_start", 0.0), top.pop("t_end", 1.0))
-    return ExperimentSpec(**top, t_range=t_range, estimator_params=sections)
+    return ExperimentSpec(**top, estimator_params=sections)
 
 
 def parse_spec_file(path: str | Path) -> ExperimentSpec:
@@ -301,15 +298,10 @@ def member_seed(spec: ExperimentSpec, index: int) -> int:
 
 def generate_driver(spec: ExperimentSpec, indices: Sequence[int]) -> np.ndarray:
     """The drivers of members ``indices``, their values stacked as one
-    (k, n_points, d) array.
-
-    A grid from 0 is drawn in one circulant call, any other member by member
-    by Cholesky; each row is bit-identical to its member's own draw.
+    (k, n_points, d) array, drawn in one circulant call; each row is
+    bit-identical to its member's own draw.
     """
     seeds = [member_seed(spec, i) for i in indices]
-    if spec.generator == "cholesky":
-        return np.stack([generate_cholesky(spec.grid, spec.dim, spec.hurst, s).values
-                         for s in seeds])
     return _circulant_values(spec.grid, spec.dim, spec.hurst, seeds)
 
 

@@ -33,7 +33,7 @@ import scipy
 from scipy import stats as sps
 
 from . import __version__, density as dl, dimension as dm
-from .config import ALL_TASKS, ExperimentSpec, member_seed, solve_block
+from .config import ALL_TASKS, ExperimentSpec, _check_unique, member_seed, solve_block
 from .config import solve_member  # noqa: F401  bound for the benchmark's tracer (bench/spans.py)
 from .fbm import HurstParam, SamplePath, write_path
 from .fields import resolve_fields
@@ -84,7 +84,6 @@ class RunReport:
     verdicts: list[Verdict]
     wall_time: float
     versions: dict
-    csv_rows: list[dict] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -527,7 +526,7 @@ def _task_mu(spec, jobs, out_dir, results, verdicts, rows):
                                 f"gamma = {gamma:.4g} <= 0", "dH < 1", "untestable"))
         return
     sharpness = list(p["sharpness"])
-    restrict = (p["t_lo"], spec.t_range[1])
+    restrict = (p["t_lo"], spec.t_end)
     mass_floor, final_cap = p["mu_mass_floor"], p["mu_final_growth"]
     out, failures = _member_map(
         _mu_worker, spec, range(spec.ensemble), jobs, gamma, sharpness, restrict
@@ -576,6 +575,7 @@ def run(spec: ExperimentSpec, tasks: tuple[str, ...] | None = None, jobs: int = 
     tasks = tuple(tasks or spec.tasks)
     if not tasks:
         raise RunError("no tasks requested")
+    _check_unique("tasks", tasks)
     for task in tasks:
         if task not in ALL_TASKS:
             raise RunError(f"unknown task '{task}'")
@@ -601,7 +601,6 @@ def run(spec: ExperimentSpec, tasks: tuple[str, ...] | None = None, jobs: int = 
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-        csv_rows=rows,
     )
     text, doc = report_render(report)
     (out_dir / "report.txt").write_text(text, encoding="utf-8")

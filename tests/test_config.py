@@ -25,11 +25,10 @@ n_points = 4096
 
 def test_minimal_document_fills_defaults():
     spec = parse_spec(MINIMAL)
-    assert spec.generator == "circulant"
     assert spec.scheme == "step2_davie"
     assert spec.ensemble == 1
     assert spec.fields == ("identity",)
-    assert spec.t_range == (0.0, 1.0)
+    assert spec.t_end == 1.0
     assert spec.base_seed == 0
 
 
@@ -53,7 +52,9 @@ def test_step2_rejected_for_low_hurst():
         scheme_for(0.3, "step2_davie")
 
 
-@pytest.mark.parametrize("line", ["generator = cholesky", "scheme = auto", "scheme = step3"])
+@pytest.mark.parametrize(
+    "line", ["generator = cholesky", "scheme = auto", "scheme = step3", "t_start = 0.5"]
+)
 def test_derived_keys_rejected_with_their_line(line):
     with pytest.raises(ConfigError, match=rf"unknown key '{line.split()[0]}' \(line 3\)"):
         parse_spec(f"name = x\nhurst = 0.5\n{line}\n")
@@ -88,6 +89,20 @@ def test_same_key_in_two_sections_allowed():
 def test_non_power_of_two_points_rejected():
     with pytest.raises(ConfigError, match="power of two"):
         parse_spec("name = x\nhurst = 0.5\nn_points = 1000\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+def test_t_end_must_be_positive_and_finite(value):
+    with pytest.raises(ConfigError, match="t_end must be a positive finite number"):
+        parse_spec(f"name = x\nhurst = 0.5\nt_end = {value}\n")
+
+
+def test_empty_fields_rejected():
+    # with no field set a dim run would test nothing and a tail run would fail
+    with pytest.raises(ConfigError, match=r"\bfields\b"):
+        parse_spec("name = x\nhurst = 0.5\nfields =\ntasks = tail\n")
+    with pytest.raises(ConfigError, match=r"\bfields\b"):
+        ExperimentSpec(name="x", hurst=0.5, fields=())
 
 
 def test_unknown_field_catalog_name_rejected():
@@ -165,18 +180,16 @@ def test_bad_section_key_rejected(task, key, value):
         ("mu", "sharpness", "sharpness = 0,4", ""),
         ("mu", "t_lo", "t_lo = 0", ""),
         ("mu", "t_lo", "t_lo = 1.0", ""),
-        ("mu", "t_lo", "t_lo = 0.1", "n_points = 64\nt_start = 0.5\n"),
         ("levelset", "t_lo", "t_lo = 0.9\nt_hi = 0.5", ""),
         ("levelset", "t_lo", "t_lo = 0.5\nt_hi = 0.5", ""),
-        ("levelset", "t_lo", "t_lo = 0.2", "n_points = 64\nt_start = 0.5\n"),
+        ("levelset", "t_lo", "t_lo = -0.1", ""),
         ("levelset", "t_hi", "t_hi = 1.5", ""),
         ("tail", "s", "s = 0.8\nt = 0.5", ""),
-        ("tail", "s", "s = 0.1", "n_points = 64\nt_start = 0.5\n"),
+        ("tail", "s", "s = -0.1", ""),
         ("tail", "t", "t = 1.5", ""),
         ("density", "s", "s = 0.8\nt = 0.5", ""),
         ("density", "s", "s = 0.05", ""),
         ("density", "t", "t = 1.5", ""),
-        ("density", "s", "s = 0.2", "n_points = 64\nt_start = 0.5\n"),
         ("bivariate", "s", "s = 0.05", ""),
         ("bivariate", "s", "s = 0.75\nt = 0.25", ""),
         ("bivariate", "t", "t = 0.75", "t_end = 0.5\n"),
@@ -218,28 +231,20 @@ def test_grid_adds_pinned_origin():
 
 
 def test_generator_dispatch_matches_direct_calls():
-    # a grid from 0 draws through circulant, any other through cholesky
+    # every grid starts at 0 and is drawn through circulant
     spec = ExperimentSpec(name="x", hurst=0.6, n_points=64, base_seed=9)
-    assert spec.generator == "circulant"
     direct = fbm.generate_circulant(spec.grid, 1, 0.6, 9)
     assert np.array_equal(generate_driver(spec, [0])[0], direct.values)
-    late = parse_spec("name = x\nhurst = 0.6\nn_points = 64\nt_start = 0.5\nbase_seed = 9\n")
-    assert late.generator == "cholesky"
-    assert late.grid.t_start == 0.5
-    direct = fbm.generate_cholesky(late.grid, 1, 0.6, 9)
-    assert np.array_equal(generate_driver(late, [0])[0], direct.values)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, None], ids=["1", "3", "whole"])
-@pytest.mark.parametrize("dim, t_start", [(1, 0.0), (2, 0.0), (2, 0.5)],
-                         ids=["circulant-d1", "circulant-d2", "cholesky-d2"])
-def test_identity_member_solution_does_not_depend_on_its_chunk(monkeypatch, chunk, dim, t_start):
+@pytest.mark.parametrize("dim", [1, 2], ids=["circulant-d1", "circulant-d2"])
+def test_identity_member_solution_does_not_depend_on_its_chunk(monkeypatch, chunk, dim):
     from fracdim import config
     from fracdim.fields import resolve_fields
     from fracdim.solver import _constant_field_path
 
-    spec = ExperimentSpec(name="x", hurst=0.4, dim=dim, n_points=64, t_range=(t_start, 1.0),
-                          ensemble=8, base_seed=7)
+    spec = ExperimentSpec(name="x", hurst=0.4, dim=dim, n_points=64, ensemble=8, base_seed=7)
     if chunk is not None:
         monkeypatch.setattr(config, "_BLOCK_STATES", chunk * spec.n_points)
     fs = resolve_fields("identity", dim)
@@ -267,11 +272,9 @@ def test_chunk_budget_is_divided_by_the_step_count(monkeypatch, fields, dim):
 
 
 def test_circulant_requires_zero_start():
-    # the spec never hands circulant a grid it cannot draw
-    spec = ExperimentSpec(name="x", hurst=0.5, n_points=64, t_range=(0.5, 1.0))
-    assert spec.generator == "cholesky"
+    # a spec's grid always starts at 0; a grid built directly may not
     with pytest.raises(ValueError, match="starting at 0"):
-        fbm.generate_circulant(spec.grid, 1, 0.5, 0)
+        fbm.generate_circulant(fbm.TimeGrid(65, 0.5, 1.0), 1, 0.5, 0)
 
 
 def test_member_seeds_must_fit_u64():
@@ -282,12 +285,3 @@ def test_member_seeds_must_fit_u64():
     assert ExperimentSpec(name="x", hurst=0.5, base_seed=top, ensemble=4).base_seed == top
     with pytest.raises(ConfigError, match="2\\^64"):
         ExperimentSpec(name="x", hurst=0.5, base_seed=top, ensemble=5)
-
-
-def test_cholesky_grid_limit_checked_in_spec():
-    # a grid after 0 is drawn by cholesky; it has n_points + 1 points, so 8192
-    # steps exceed the 8192-point limit, which a grid from 0 does not have
-    ExperimentSpec(name="x", hurst=0.5, n_points=4096, t_range=(0.5, 1.0))
-    with pytest.raises(ConfigError, match="cholesky, which holds at most 8192 points"):
-        ExperimentSpec(name="x", hurst=0.5, n_points=8192, t_range=(0.5, 1.0))
-    assert ExperimentSpec(name="x", hurst=0.5, n_points=8192).generator == "circulant"

@@ -8,7 +8,7 @@ import pytest
 
 import fracdim
 from fracdim import cli
-from fracdim.config import ExperimentSpec, parse_spec
+from fracdim.config import ConfigError, ExperimentSpec, parse_spec
 from fracdim.harness import RunError, Verdict, report_render, run
 
 
@@ -36,20 +36,39 @@ def test_generate_is_byte_stable(tmp_path):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("dim, t_start", [(1, 0.0), (2, 0.0), (2, 0.5)],
-                         ids=["circulant-d1", "circulant-d2", "cholesky-d2"])
-def test_generate_writes_each_members_draw(tmp_path, dim, t_start, jobs):
+@pytest.mark.parametrize("dim", [1, 2], ids=["circulant-d1", "circulant-d2"])
+def test_generate_writes_each_members_draw(tmp_path, dim, jobs):
     # gen writes the identity solution from 0, which must be the draw bit for bit
     from fracdim import fbm
 
-    spec = small_spec(tmp_path, dim=dim, n_points=256, t_range=(t_start, 1.0), ensemble=5)
+    spec = small_spec(tmp_path, dim=dim, n_points=256, ensemble=5)
     run(spec, tasks=("generate",), jobs=jobs)
-    draw = fbm.generate_cholesky if spec.generator == "cholesky" else fbm.generate_circulant
     for k in range(spec.ensemble):
         own = tmp_path / f"draw_{k}.frd"
-        fbm.write_path(draw(spec.grid, dim, spec.hurst, spec.base_seed + k), own)
+        fbm.write_path(fbm.generate_circulant(spec.grid, dim, spec.hurst, spec.base_seed + k), own)
         written = tmp_path / "small" / "paths" / f"member_{k:06d}.frd"
         assert written.read_bytes() == own.read_bytes()
+
+
+@pytest.mark.parametrize("hurst", [0.75, 0.3], ids=["step2", "step3"])
+def test_every_solution_starts_at_zero_and_gen_writes_the_identity_one(tmp_path, hurst):
+    # every path a run reads or writes starts at 0 at time 0, whichever way it is solved
+    from fracdim import fbm
+    from fracdim.config import solve_member
+    from fracdim.fields import FIELD_CATALOG
+
+    for fname in FIELD_CATALOG:
+        dim = 1 if fname == "geometric_1d" else 2
+        spec = small_spec(tmp_path, name=fname, hurst=hurst, dim=dim, n_points=64, ensemble=3,
+                          fields=(fname,))
+        run(spec, tasks=("generate",))
+        for k in range(spec.ensemble):
+            sol = solve_member(spec, k, fname)
+            assert sol.grid.t_start == 0.0 and (sol.values[0] == 0.0).all()
+            own = tmp_path / f"{fname}_{k}.frd"
+            fbm.write_path(solve_member(spec, k, "identity"), own)
+            written = tmp_path / fname / "paths" / f"member_{k:06d}.frd"
+            assert written.read_bytes() == own.read_bytes()
 
 
 def test_artifacts_stay_under_named_directory(tmp_path):
@@ -132,6 +151,8 @@ def test_run_requires_known_tasks(tmp_path):
         run(spec, tasks=("warp",))
     with pytest.raises(RunError):
         run(spec, tasks=())
+    with pytest.raises(ConfigError, match="duplicate name 'tail' in tasks"):
+        run(spec, tasks=("tail", "tail"))
 
 
 def test_report_render_empty_banner():
