@@ -146,6 +146,14 @@ def _check_unique(key: str, names: Sequence[str]) -> None:
             raise ConfigError(f"duplicate name '{name}' in {key}")
 
 
+def _check_tasks(tasks: Sequence[str]) -> None:
+    """Reject a task listed twice or not in ``ALL_TASKS``."""
+    _check_unique("tasks", tasks)
+    for task in tasks:
+        if task not in ALL_TASKS:
+            raise ConfigError(f"unknown task '{task}'")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Full declarative description of one run.
@@ -189,15 +197,12 @@ class ExperimentSpec:
         if not self.fields:
             raise ConfigError("fields must name at least one field set")
         _check_unique("fields", self.fields)
-        _check_unique("tasks", self.tasks)
+        _check_tasks(self.tasks)
         for fname in self.fields:
             try:
                 resolve_fields(fname, self.dim)
             except ValueError as exc:  # unknown name or dimension mismatch
                 raise ConfigError(str(exc)) from None
-        for task in self.tasks:
-            if task not in ALL_TASKS:
-                raise ConfigError(f"unknown task '{task}'")
         for task in self.estimator_params:
             self.task_settings(task)  # rejects an unknown or wrongly typed key
         for task in self.tasks:

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .config import ExperimentSpec, solve_block
 from .config import solve_member  # noqa: F401  bound for the benchmark's tracer (bench/spans.py)
@@ -86,6 +85,7 @@ def sup_increment(values: np.ndarray) -> float:
     if values.shape[1] == 1:
         col = values[:, 0]
         return float(col.max() - col.min())
+    from scipy.spatial import ConvexHull, QhullError  # here, so the run path loads no scipy
     try:
         hull = values[ConvexHull(values).vertices]
     except QhullError:  # degenerate (collinear) clouds

@@ -16,7 +16,10 @@ from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
-from scipy import integrate, special
+# numpy imports these at first use; import them here, so that the first draw of a
+# run, or of each forked pool worker, does not pay for it inside the run
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 __all__ = [
     "CHOLESKY_MAX_N",
@@ -221,6 +224,7 @@ def kernel_kh(t: float, s: float, h: HurstParam | float) -> float:
         raise ValueError("kernel requires 0 < s < t")
     if H == 0.5:
         return 1.0
+    from scipy import integrate, special  # here, so the run path loads no scipy
     if H > 0.5:
         c = math.sqrt(H * (2.0 * H - 1.0) / special.beta(2.0 - 2.0 * H, H - 0.5))
         # integrand (u-s)^(H-3/2) u^(H-1/2); the algebraic endpoint weight is exact in QUADPACK

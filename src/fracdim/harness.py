@@ -29,11 +29,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy
-from scipy import stats as sps
+import numpy.ma  # noqa: F401  np.quantile imports it at first use, inside a run; load it up front
+import scipy  # for its version only: the run path loads no scipy submodule
 
 from . import __version__, density as dl, dimension as dm
-from .config import ALL_TASKS, ExperimentSpec, _check_unique, member_seed, solve_block
+from .config import ExperimentSpec, _check_tasks, member_seed, solve_block
 from .config import solve_member  # noqa: F401  bound for the benchmark's tracer (bench/spans.py)
 from .fbm import HurstParam, SamplePath, write_path
 from .fields import resolve_fields
@@ -50,7 +50,7 @@ _ENSEMBLE_FLOORS = {"tail": dl._MIN_TAIL_ENSEMBLE, "density": dl._MIN_KDE_ENSEMB
 
 
 class RunError(RuntimeError):
-    """Run-level failure (too many member failures, bad task set)."""
+    """Run-level failure (too many member failures, no task, too few members)."""
 
 
 @dataclass(frozen=True)
@@ -351,6 +351,27 @@ def _states_at(spec, jobs, s, t):
     return samples, sd, failures
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, ties given the mean of the ranks they share."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.r_[True, xs[1:] != xs[:-1]]
+    group = np.cumsum(first) - 1  # tie group of each sorted value
+    bounds = np.flatnonzero(np.r_[first, True])  # group g holds sorted slots bounds[g]..bounds[g+1]-1
+    ranks = np.empty(len(x))
+    ranks[order] = (0.5 * (bounds[:-1] + bounds[1:] + 1))[group]
+    return ranks
+
+
+def _rank_corr(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rank correlation, as scipy.stats.spearmanr computes it: nan when
+    an input is constant or holds a NaN, else the Pearson correlation of the
+    average ranks."""
+    if any(len(v) < 2 or (v == v[0]).all() or np.isnan(v).any() for v in (x, y)):
+        return math.nan
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[1, 0])
+
+
 def _task_tail(spec, jobs, out_dir, results, verdicts, rows):
     p = spec.task_settings("tail")
     interval = (p["s"], p["t"])
@@ -385,7 +406,7 @@ def _task_tail(spec, jobs, out_dir, results, verdicts, rows):
     if len(finite) >= 3:
         xs = np.array([w ** (-2.0 * spec.hurst) * xi_fixed**2 for w, _ in finite])
         ys = np.array([-lp for _, lp in finite])
-        rank = float(sps.spearmanr(xs, ys).statistic)
+        rank = _rank_corr(xs, ys)
         inversions = sum(b >= a for a, b in zip(ps, ps[1:]))
         ok = rank >= rank_floor and inversions <= 1
         measured = f"rank corr {rank:.3f}, exceedances {[round(p, 4) for p in ps]}"
@@ -575,10 +596,8 @@ def run(spec: ExperimentSpec, tasks: tuple[str, ...] | None = None, jobs: int = 
     tasks = tuple(tasks or spec.tasks)
     if not tasks:
         raise RunError("no tasks requested")
-    _check_unique("tasks", tasks)
+    _check_tasks(tasks)
     for task in tasks:
-        if task not in ALL_TASKS:
-            raise RunError(f"unknown task '{task}'")
         floor = _ENSEMBLE_FLOORS.get(task, 1)
         if spec.ensemble < floor:
             raise RunError(f"{task} needs at least {floor} members, not {spec.ensemble}")

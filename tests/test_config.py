@@ -271,12 +271,6 @@ def test_chunk_budget_is_divided_by_the_step_count(monkeypatch, fields, dim):
     assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
 
 
-def test_circulant_requires_zero_start():
-    # a spec's grid always starts at 0; a grid built directly may not
-    with pytest.raises(ValueError, match="starting at 0"):
-        fbm.generate_circulant(fbm.TimeGrid(65, 0.5, 1.0), 1, 0.5, 0)
-
-
 def test_member_seeds_must_fit_u64():
     # .frd files store the seed as u64; a negative seed would wrap to 2^64 - 1
     with pytest.raises(ConfigError, match=r"\[0, 2\^64\)"):

@@ -1,7 +1,11 @@
 import importlib
 import json
+import math
 import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,7 +151,7 @@ def test_jobs_do_not_change_results(tmp_path, case):
 
 def test_run_requires_known_tasks(tmp_path):
     spec = small_spec(tmp_path)
-    with pytest.raises(RunError):
+    with pytest.raises(ConfigError, match="unknown task 'warp'"):
         run(spec, tasks=("warp",))
     with pytest.raises(RunError):
         run(spec, tasks=())
@@ -267,8 +271,6 @@ def test_env_var_output_root(tmp_path, monkeypatch):
 
 
 def test_shipped_configs_parse():
-    from pathlib import Path
-
     cfg_dir = Path(__file__).resolve().parents[1] / "configs"
     names = sorted(p.name for p in cfg_dir.glob("*.cfg"))
     assert len(names) >= 10
@@ -520,3 +522,44 @@ def test_every_public_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing
+
+
+@pytest.mark.parametrize("x, y", [
+    ([1.0, 2.0, 2.0, 3.0, 5.0, 4.0], [0.3, 0.1, 0.7, 0.2, 0.9, 0.5]),  # ties in x
+    ([0.3, 0.1, 0.7, 0.2, 0.9, 0.5], [1.0, 2.0, 2.0, 3.0, 2.0, 4.0]),  # ties in y
+    ([1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 0.5], [4.0, 2.0, 2.0, 1.0, 4.0, 4.0, 1.0]),  # ties in both
+    ([0.1, 0.5, 2.0, 7.0], [-3.0, 1.0, 1.5, 40.0]),  # monotone
+    ([0.1, 0.5, 2.0, 7.0, 9.0], [40.0, 1.5, 1.0, -3.0, -3.5]),  # anti-monotone
+], ids=["ties-x", "ties-y", "ties-both", "monotone", "anti-monotone"])
+def test_rank_corr_is_spearmanr(x, y):
+    from scipy import stats
+
+    from fracdim.harness import _rank_corr
+
+    x, y = np.array(x), np.array(y)
+    expected = np.float64(stats.spearmanr(x, y).statistic)
+    assert np.float64(_rank_corr(x, y)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("x, y", [
+    ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]),
+    ([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]),
+    ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]),
+    ([1.0, 2.0, 3.0], [1.0, 2.0, np.nan]),
+], ids=["constant-x", "constant-y", "nan-x", "nan-y"])
+def test_rank_corr_is_nan_where_spearmanr_is(x, y):
+    from fracdim.harness import _rank_corr
+
+    assert math.isnan(_rank_corr(np.array(x), np.array(y)))
+
+
+def test_run_path_imports_no_scipy_submodule():
+    # scipy.stats alone adds about 0.9 s to the start of every fresh fracdim process;
+    # the numpy modules a run needs are loaded up front, not inside the first run
+    code = "import sys, fracdim.harness, fracdim.cli; print(*[m for m in sys.argv[1:] if m in sys.modules])"
+    lazy = ["scipy.stats", "scipy.spatial", "scipy.integrate", "scipy.special"]
+    eager = ["numpy.fft", "numpy.ma", "numpy.random"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    loaded = subprocess.run([sys.executable, "-c", code, *lazy, *eager], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert loaded == eager
