@@ -44,9 +44,18 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("config", help="experiment configuration file")
         p.add_argument("--seed", type=int, default=None, help="override base_seed")
-        p.add_argument("--jobs", type=int, default=None, help="worker processes (default: cores)")
+        p.add_argument("--jobs", type=int, default=None,
+                       help="worker processes, at least 1 (default: the usable cores)")
         p.add_argument("--out", default=None, help="override the output directory root")
     return parser
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on, where the platform says; else all of them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -64,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
     if not tasks:
         print("error: repro needs a 'tasks = ...' line in the config", file=sys.stderr)
         return 2
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    jobs = args.jobs if args.jobs is not None else _usable_cores()
     try:
         report = run(spec, tasks=tasks, jobs=jobs)
     except (RunError, ConfigError, ValueError) as exc:

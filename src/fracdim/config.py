@@ -25,7 +25,8 @@ import numpy as np
 from .fbm import HurstParam, SamplePath, TimeGrid, _circulant_values
 from .fbm import generate_cholesky, generate_circulant  # noqa: F401  bound for the benchmark's tracer (bench/spans.py)
 from .fields import VectorFieldSet, resolve_fields
-from .roughpath import lift_path
+from .roughpath import LinearLift
+from .roughpath import lift_path  # noqa: F401  bound for the benchmark's tracer (bench/spans.py)
 from .solver import SolverScheme, _constant_field_path, scheme_for, solve
 
 __all__ = [
@@ -68,7 +69,8 @@ TASK_PARAMS: dict[str, dict] = {
 ALL_TASKS = tuple(TASK_PARAMS)
 
 #: most member-steps (members x intervals) one chunk holds, for every field
-#: set, which bounds its memory; 2^20 is 16 members of the 2^16-step configs
+#: set, which bounds its memory: the draw and the states, d + n floats per
+#: member-step, with no stored lift; 2^20 is 16 members of the 2^16-step configs
 _BLOCK_STATES = 2**20
 
 
@@ -340,30 +342,35 @@ def _solve_chunk(
         # the exact path, stacked; the lift's cumulative sums would round differently
         paths = _constant_field_path(fs, starts, paths)
     elif drawn:
-        scheme, hurst = SolverScheme(spec.scheme), HurstParam(spec.hurst)
-        lifted = lift_path([SamplePath(spec.grid, p, hurst=hurst) for p in paths], scheme.depth)
-        del paths  # the lift holds the draws' increments
-        sols = solve(fs, starts, lifted, scheme)
-        del lifted
+        # the driver reads the draws: the time loop forms each segment's levels
+        # from their increments, so no lift of the chunk is stored
+        scheme = SolverScheme(spec.scheme)
+        sols = solve(fs, starts, LinearLift(spec.grid, paths, scheme.depth, HurstParam(spec.hurst)),
+                     scheme)
         failed.update((i, sol) for i, sol in zip(drawn, sols) if isinstance(sol, Exception))
-        drawn = [i for i in drawn if i not in failed]
-        paths = np.array([sol.values for sol in sols if not isinstance(sol, Exception)])
-        paths = paths.reshape(len(drawn), spec.grid.n_points, fs.dim_state)
+        kept = [j for j, sol in enumerate(sols) if not isinstance(sol, Exception)]
+        if kept:  # every solution is a row of the solve's one states array: keep its rows
+            states = sols[kept[0]].values.base
+            paths = states if len(kept) == len(drawn) else states[kept]
+        else:
+            paths = np.empty((0, spec.grid.n_points, fs.dim_state))
+        drawn = [drawn[j] for j in kept]
     return drawn, paths, failed
 
 
 def solve_block(
     spec: ExperimentSpec, indices, fields_name: str | None = None
 ) -> Iterator[tuple[list[int], np.ndarray, dict]]:
-    """Generate -> lift -> solve from 0 for each member, a chunk at a time, in index order.
+    """Generate -> solve from 0 for each member, a chunk at a time, in index order.
 
     The field set is ``fields_name``, by default the spec's first.  Yields one
     triple per chunk: the surviving indices, their states as one
     (k, n_points, d) array, and {index: exception} for the members that failed
     alone.  A chunk is up to ``_BLOCK_STATES`` member-steps: one driver draw,
-    then one solve in one time loop, or for constant field sets (identity) one
-    stacked exact path, which needs no lift.  Each member's states are
-    bit-identical to its solve alone.
+    then one solve in one time loop, which forms the lift's levels from the
+    draw's increments a segment at a time (``LinearLift``), or for constant
+    field sets (identity) one stacked exact path.  Each member's states are
+    bit-identical to its solve alone, and to the solve of its stored lift.
     """
     fs = resolve_fields(fields_name or spec.fields[0], spec.dim)
     indices = list(indices)

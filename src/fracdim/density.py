@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ExperimentSpec, solve_block
 from .config import solve_member  # noqa: F401  bound for the benchmark's tracer (bench/spans.py)
-from .dimension import _line_fit
+from .dimension import _BLOCK_ENTRIES, _line_fit
 
 __all__ = [
     "DensityEstimate",
@@ -167,14 +167,30 @@ def _bandwidths(samples: np.ndarray) -> np.ndarray:
 
 
 def _kde_at(samples: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Product-Gaussian KDE of samples evaluated at points; returns (values, bandwidths)."""
+    """Product-Gaussian KDE of samples evaluated at points; returns (values, bandwidths).
+
+    The kernel is evaluated in place for a block of points at a time: each
+    block holds about ``_BLOCK_ENTRIES`` (point, sample, coordinate) entries,
+    and at least one point.  A point's value is the mean of its kernel row
+    over every sample, so it does not depend on the block it is evaluated in.
+    """
+    m, dim = samples.shape
     b = _bandwidths(samples)
-    norm = float(np.prod(b)) * (2 * math.pi) ** (samples.shape[1] / 2.0)
+    norm = float(np.prod(b)) * (2 * math.pi) ** (dim / 2.0)
     vals = np.empty(points.shape[0])
-    block = max(1, int(2**22) // samples.shape[0])
+    block = max(1, _BLOCK_ENTRIES // (m * dim))
+    z = np.empty((min(block, points.shape[0]), m, dim))
+    r2 = np.empty(z.shape[:2])
     for a in range(0, points.shape[0], block):
-        z = (points[a : a + block, None, :] - samples[None, :, :]) / b
-        vals[a : a + block] = np.exp(-0.5 * (z**2).sum(axis=-1)).mean(axis=1) / norm
+        pts = points[a:a + block]
+        z_a, r2_a = z[:len(pts)], r2[:len(pts)]
+        np.subtract(pts[:, None, :], samples[None, :, :], out=z_a)
+        z_a /= b
+        np.square(z_a, out=z_a)
+        np.sum(z_a, axis=-1, out=r2_a)
+        r2_a *= -0.5
+        np.exp(r2_a, out=r2_a)
+        vals[a:a + block] = r2_a.mean(axis=1) / norm
     return vals, b
 
 

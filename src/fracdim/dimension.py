@@ -46,7 +46,8 @@ __all__ = [
 _SATURATION_FRACTION = 0.25
 _COINCIDENT_TOL = 1e-14
 #: entries of one row block in energy_ladder: its two float64 buffers (1 MB) stay
-#: in a core's L2 cache, where 2^22-entry blocks made the sum memory-bound and 2.4x slower
+#: in a core's L2 cache, where 2^22-entry blocks made the sum memory-bound and 2.4x slower;
+#: the same budget sizes density's KDE blocks and the solver's time-loop segments
 _BLOCK_ENTRIES = 2**16
 
 

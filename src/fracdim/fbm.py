@@ -363,9 +363,9 @@ def _circulant_values(
         z[..., 1:half] = (draws[..., 2 : half + 1] + 1j * draws[..., half + 1 :]) / math.sqrt(2.0)
         z[..., half + 1 :] = np.conj(z[..., 1:half][..., ::-1])
         del draws
-        # in place where the arithmetic allows: one complex buffer besides the transform's
+        # in place, the transform too: one complex buffer
         z *= scale
-        z = np.fft.ifft(z, axis=-1)
+        np.fft.ifft(z, axis=-1, out=z)
         z *= math.sqrt(M)
         out = values[a:a + len(group), 1:].transpose(0, 2, 1)
         np.cumsum(z.real[..., :m] * step, axis=-1, out=out)

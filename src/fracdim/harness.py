@@ -50,7 +50,7 @@ _ENSEMBLE_FLOORS = {"tail": dl._MIN_TAIL_ENSEMBLE, "density": dl._MIN_KDE_ENSEMB
 
 
 class RunError(RuntimeError):
-    """Run-level failure (too many member failures, no task, too few members)."""
+    """Run-level failure (too many member failures, no task, too few members, jobs < 1)."""
 
 
 @dataclass(frozen=True)
@@ -596,6 +596,8 @@ def run(spec: ExperimentSpec, tasks: tuple[str, ...] | None = None, jobs: int = 
     tasks = tuple(tasks or spec.tasks)
     if not tasks:
         raise RunError("no tasks requested")
+    if jobs < 1:
+        raise RunError(f"jobs must be >= 1, not {jobs}")
     _check_tasks(tasks)
     for task in tasks:
         floor = _ENSEMBLE_FLOORS.get(task, 1)

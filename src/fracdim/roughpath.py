@@ -14,6 +14,7 @@ import numpy as np
 from .fbm import HurstParam, SamplePath, TimeGrid
 
 __all__ = [
+    "LinearLift",
     "SignaturePath",
     "TruncatedTensor",
     "chen_concat",
@@ -107,6 +108,63 @@ class SignaturePath:
         if self.members is not None:
             raise ValueError("interval signatures are read from the lift of one path")
 
+    def read(self, a: int, b: int, depth: int) -> list[np.ndarray]:
+        """Levels 1..depth of intervals [a, b), copied out time-major.
+
+        Level m has shape (b - a, members, dim, ..., dim), one member for the
+        lift of one path.
+        """
+        stacked = self.levels if self.members is not None else [lv[None] for lv in self.levels]
+        return [np.ascontiguousarray(lv[:, a:b].swapaxes(0, 1)) for lv in stacked[:depth]]
+
+
+@dataclass(frozen=True)
+class LinearLift:
+    """The signature lift of a stack of piecewise-linear paths, held as their values.
+
+    ``values`` has shape (members, n_points, dim), the paths on one grid.
+    Nothing beyond the values is stored: ``read`` forms an interval's levels
+    when they are needed, with ``lift_path``'s products, so they equal the
+    stored lift's byte for byte.  The depth is checked against the Hurst
+    index as ``lift_path`` checks it.
+    """
+
+    grid: TimeGrid
+    values: np.ndarray
+    depth: int
+    hurst: HurstParam | None = None
+
+    def __post_init__(self) -> None:
+        _check_depth(self.depth, self.hurst)
+        v = self.values
+        if v.ndim != 3 or v.shape[1] != self.grid.n_points:
+            raise ValueError(f"values must be (members, {self.grid.n_points}, dim), got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("path values must be finite")
+
+    @property
+    def dim(self) -> int:
+        return self.values.shape[-1]
+
+    @property
+    def n_intervals(self) -> int:
+        return self.grid.n_points - 1
+
+    @property
+    def members(self) -> int:
+        return self.values.shape[0]
+
+    def read(self, a: int, b: int, depth: int) -> list[np.ndarray]:
+        """Levels 1..depth of intervals [a, b), formed time-major from the increments.
+
+        Level m has shape (b - a, members, dim, ..., dim).
+        """
+        values = self.values
+        inc = np.empty((b - a, self.members, self.dim))
+        np.subtract(values[:, a + 1:b + 1], values[:, a:b], out=inc.swapaxes(0, 1))
+        return [lv.reshape(inc.shape + lv.shape[2:])
+                for lv in _linear_levels(inc.reshape(-1, self.dim), depth)]
+
 
 def segment_signature(increment: np.ndarray, depth: int) -> TruncatedTensor:
     """Signature exp(increment) of a linear segment: level m is Delta^(x)m / m!."""
@@ -141,6 +199,32 @@ def required_depth(h: HurstParam | float) -> int:
     return 2 if H > 1.0 / 3.0 else 3
 
 
+def _check_depth(depth: int, hurst: HurstParam | None) -> None:
+    """Reject a depth outside 1..MAX_DEPTH, or below the lift requirement of ``hurst``."""
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be 1..{MAX_DEPTH}")
+    if hurst is not None and depth < required_depth(hurst):
+        raise ValueError(
+            f"depth {depth} inconsistent with declared hurst {hurst.value}"
+            f" (needs >= {required_depth(hurst)})"
+        )
+
+
+def _linear_levels(flat: np.ndarray, depth: int) -> list[np.ndarray]:
+    """Levels 1..depth of the linear segments with increments ``flat`` (k, d).
+
+    Δ itself, then ½Δ⊗Δ of shape (k, d, d) and Δ⊗Δ⊗Δ/6 of shape (k, d, d, d),
+    each entry one product of increments in a fixed order and then the
+    scaling, whatever the layout of ``flat``.
+    """
+    levels = [flat]
+    if depth >= 2:
+        levels.append(0.5 * np.einsum("ki,kj->kij", flat, flat))
+    if depth >= 3:
+        levels.append(np.einsum("ki,kj,kl->kijl", flat, flat, flat) / 6.0)
+    return levels
+
+
 def lift_path(path: SamplePath | Sequence[SamplePath], depth: int) -> SignaturePath:
     """Per-interval signatures of the sampled path, read as piecewise linear.
 
@@ -151,13 +235,7 @@ def lift_path(path: SamplePath | Sequence[SamplePath], depth: int) -> SignatureP
     """
     paths = [path] if isinstance(path, SamplePath) else list(path)
     first = paths[0]
-    if not 1 <= depth <= MAX_DEPTH:
-        raise ValueError(f"depth must be 1..{MAX_DEPTH}")
-    if first.hurst is not None and depth < required_depth(first.hurst):
-        raise ValueError(
-            f"depth {depth} inconsistent with declared hurst {first.hurst.value}"
-            f" (needs >= {required_depth(first.hurst)})"
-        )
+    _check_depth(depth, first.hurst)
     # component-major storage, as np.diff leaves a sampler's path, keeps the
     # products below on long contiguous runs
     n, d = first.grid.n_points - 1, first.dim
@@ -167,12 +245,8 @@ def lift_path(path: SamplePath | Sequence[SamplePath], depth: int) -> SignatureP
             raise ValueError("stacked paths must share grid, dimension and Hurst index")
         np.subtract(p.values[1:], p.values[:-1], out=out)
     flat = delta.reshape(-1, d)  # members and intervals on one axis, still a view
-    levels = [delta]
-    if depth >= 2:
-        levels.append(0.5 * np.einsum("ki,kj->kij", flat, flat).reshape(delta.shape + (d,)))
-    if depth >= 3:
-        cube = np.einsum("ki,kj,kl->kijl", flat, flat, flat) / 6.0
-        levels.append(cube.reshape(delta.shape + (d, d)))
+    higher = _linear_levels(flat, depth)[1:]
+    levels = [delta] + [lv.reshape(delta.shape + lv.shape[2:]) for lv in higher]
     if isinstance(path, SamplePath):
         levels = [lv[0] for lv in levels]
     return SignaturePath(first.grid, first.dim, depth, tuple(levels), hurst=first.hurst)

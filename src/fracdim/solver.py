@@ -6,13 +6,15 @@ adds level-3 contractions with second derivatives for 1/4 < H <= 1/3.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dimension import _BLOCK_ENTRIES
 from .fbm import HurstParam, SamplePath
 from .fields import VectorFieldSet
-from .roughpath import SignaturePath, required_depth
+from .roughpath import LinearLift, SignaturePath, required_depth
 
 __all__ = [
     "EllipticityReport",
@@ -112,26 +114,31 @@ def _constant_field_path(fields: VectorFieldSet, x0: np.ndarray, path: np.ndarra
 
 
 def _steps(
-    fields: VectorFieldSet, x0: np.ndarray, levels: tuple[np.ndarray, ...], dt: float
+    fields: VectorFieldSet, x0: np.ndarray, driver: SignaturePath | LinearLift, depth: int,
+    dt: float,
 ) -> np.ndarray:
     """States (members, n_steps + 1, n) of the members, advanced together in one time loop.
 
     Every buffer is allocated here, once per solve: the features, the flat
-    jet with its V, DV and D²V views, and one output per contraction.  Each
-    step writes the features, takes one product with the field table into
-    the jet, adds the base row, and contracts with ``np.matmul(..., out=)``
-    (step 3's V·b3 product with ``np.einsum(..., out=)``), reading the
-    levels' k-th increments as views.  So a step allocates no array, apart
-    from a drift's (V0, DV0) and their Taylor pair.  Each contraction is a
-    batched product over the members' own small matrices, so a member's
-    states do not depend on the block it is solved in.  A member whose
-    state passes the overflow guard goes on, possibly as inf or NaN;
-    ``solve`` finds its step afterwards.
+    jet with its V, DV and D²V views, one output per contraction, and the
+    time-major states of one segment.  The driver's first ``depth`` levels
+    are read a segment of up to ``_BLOCK_ENTRIES // (members d^depth)`` steps
+    at a time, time-major (``read``: a stored lift's are copied out, a
+    ``LinearLift``'s are formed from its increments), so the loop holds no
+    more of the lift than one segment.  Each step writes the features, takes
+    one product with the field table into the jet, adds the base row, and
+    contracts with ``np.matmul(..., out=)`` (step 3's V·b3 product with
+    ``np.einsum(..., out=)``) against the segment's next rows, writing the
+    new state into the segment's next state row.  So a step allocates no
+    array, apart from a drift's (V0, DV0) and their Taylor pair.  Each contraction is a batched product over the members'
+    own small matrices, so a member's states do not depend on the block it
+    is solved in.  A member whose state passes the overflow guard goes on,
+    possibly as inf or NaN; ``solve`` finds its step afterwards.
     """
-    depth = len(levels)
-    b1, b2 = levels[0], levels[1]
-    m, n_steps, d = b1.shape
-    n = fields.dim_state
+    m, n, d = x0.shape[0], fields.dim_state, driver.dim
+    n_steps = driver.n_intervals
+    seg = max(1, min(n_steps, _BLOCK_ENTRIES // (m * d**depth)))
+    xs = np.empty((seg, m, n))
     coef, base = fields.cuts[depth - 1]
     feats = np.zeros((m, coef.shape[0]))
     write = fields.features(feats) if fields.features is not None else None
@@ -143,7 +150,6 @@ def _steps(
     c = np.empty((m, n, d))
     c_col = c.reshape(m, n * d, 1)
     if depth >= 3:
-        b3 = levels[2].reshape(m, n_steps, d, d * d)  # a view for lift_path's and coarsen's layouts
         d2vx = d2v[0].reshape(m, n, n * n * d)
         t1 = np.empty((m, n, d * d))
         t1_blocks, t1_rows = t1.reshape(m, n, d, d), t1.reshape(m, n * d, d)
@@ -157,35 +163,39 @@ def _steps(
     half_dt2 = 0.5 * dt * dt
     drift = fields.drift
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            if write is not None:
-                write(x)
-            np.matmul(feats, coef, out=flat)
-            flat += base
-            np.matmul(vx, b1[:, k, :, None], out=col)
-            if drift is not None:
-                v0x, dv0x = drift(x)
-                dx += v0x * dt + (dv0x @ v0x[..., None])[..., 0] * half_dt2
-            np.matmul(vx, b2[:, k], out=c)
-            np.matmul(dvx, c_col, out=term)
-            dx += term_dx
-            if depth >= 3:
-                np.matmul(vx, b3[:, k], out=t1)
-                np.matmul(dvx, t1_rows, out=inner)
-                np.matmul(dvx, inner_col, out=term)
+        for a in range(0, n_steps, seg):
+            b1, b2, *b3 = driver.read(a, min(n_steps, a + seg), depth)
+            size = len(b1)
+            b3 = b3[0].reshape(size, m, d, d * d) if b3 else itertools.repeat(None)
+            for b1k, b2k, b3k, xk in zip(b1[..., None], b2, b3, xs):
+                if write is not None:
+                    write(x)
+                np.matmul(feats, coef, out=flat)
+                flat += base
+                np.matmul(vx, b1k, out=col)
+                if drift is not None:
+                    v0x, dv0x = drift(x)
+                    dx += v0x * dt + (dv0x @ v0x[..., None])[..., 0] * half_dt2
+                np.matmul(vx, b2k, out=c)
+                np.matmul(dvx, c_col, out=term)
                 dx += term_dx
-                np.einsum("...lb,...mbc->...mlc", vx, t1_blocks, out=u)
-                np.matmul(d2vx, u_col, out=term)
-                dx += term_dx
-            x += dx
-            out[:, k + 1] = x
+                if depth >= 3:
+                    np.matmul(vx, b3k, out=t1)
+                    np.matmul(dvx, t1_rows, out=inner)
+                    np.matmul(dvx, inner_col, out=term)
+                    dx += term_dx
+                    np.einsum("...lb,...mbc->...mlc", vx, t1_blocks, out=u)
+                    np.matmul(d2vx, u_col, out=term)
+                    dx += term_dx
+                x = np.add(x, dx, out=xk)
+            out[:, a + 1:a + 1 + size] = xs[:size].swapaxes(0, 1)
     return out
 
 
 def solve(
     fields: VectorFieldSet,
     x0: np.ndarray,
-    driver: SignaturePath,
+    driver: SignaturePath | LinearLift,
     scheme: SolverScheme,
 ) -> SamplePath | list[SamplePath | SolverError]:
     """One state per grid point of the driver.
@@ -200,8 +210,11 @@ def solve(
     Deterministic given its inputs; raises SolverError with the step index if
     the state passes the overflow guard or turns NaN.
 
-    A stacked driver (``driver.members`` paths) takes starts ``x0`` of shape
-    (members, n) and is solved in one time loop.  It returns one entry per
+    The driver is a stored lift (``lift_path``, ``coarsen``) or a
+    ``LinearLift``, which holds only the path and forms its levels a segment
+    at a time; the two give the same states, byte for byte.  A stacked
+    driver (``driver.members`` paths) takes starts ``x0`` of shape (members,
+    n) and is solved in one time loop.  It returns one entry per
     member: its solution, or the SolverError that names the step where its
     state failed the guard.  Member j's solution equals the solve of member j
     alone, bit for bit.
@@ -220,18 +233,19 @@ def solve(
     if x0.shape[:-1] != ((driver.members,) if stacked else ()):
         raise ValueError("x0 needs one start per member of the driver")
     starts = x0 if stacked else x0[None]
-    levels = tuple(lv if stacked else lv[None] for lv in driver.levels[:scheme.depth])
 
     grid = driver.grid
     if fields.constant:
         # state-independent fields: derivative contractions vanish identically
-        path = np.zeros(levels[0].shape[:1] + (grid.n_points, driver.dim))
-        np.cumsum(levels[0], axis=1, out=path[:, 1:])
+        inc = driver.read(0, driver.n_intervals, 1)[0]
+        path = np.zeros((len(starts), grid.n_points, driver.dim))
+        np.cumsum(inc.swapaxes(0, 1), axis=1, out=path[:, 1:])
         states = _constant_field_path(fields, starts, path)
     else:
-        states = _steps(fields, starts, levels, grid.spacing)
-    # the guard, also against NaN: a member fails at its first bad step
-    bad = ~(np.abs(states[:, 1:]) <= OVERFLOW_GUARD).all(axis=2)
+        states = _steps(fields, starts, driver, scheme.depth, grid.spacing)
+    # the guard, also against NaN: a member fails at its first bad step;
+    # one member at a time, so its temporaries are one member's size
+    bad = [~(np.abs(values[1:]) <= OVERFLOW_GUARD).all(axis=1) for values in states]
     out = [SolverError(f"state overflow at step {int(np.argmax(row)) + 1}") if row.any()
            else SamplePath(grid, values, hurst=driver.hurst) for values, row in zip(states, bad)]
     if stacked:

@@ -171,6 +171,47 @@ def test_kde_increment_guards():
 
 # ----------------------------------------------------------------- bivariate
 
+def one_block_kde(samples, points):
+    """The KDE with every (point, sample) pair in one array: the blocked kernel's oracle."""
+    b = dl._bandwidths(samples)
+    norm = float(np.prod(b)) * (2 * math.pi) ** (samples.shape[1] / 2.0)
+    z = (points[:, None, :] - samples[None, :, :]) / b
+    return np.exp(-0.5 * (z**2).sum(axis=-1)).mean(axis=1) / norm
+
+
+@pytest.mark.parametrize("m", [1000, 2**16, 2**16 + 5], ids=["below", "at", "above"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("budget", [None, 4], ids=["budget", "4-points"])
+def test_blocked_kde_equals_the_one_block_kde(monkeypatch, m, d, budget):
+    # sample counts below, at and above the 2^16-entry block budget, and a
+    # budget of 4 points a block, which leaves a last block of 1 point
+    if budget is not None:
+        monkeypatch.setattr(dl, "_BLOCK_ENTRIES", budget * m * d)
+    rng = np.random.default_rng(m + d)
+    samples = rng.standard_normal((m, d))
+    points = rng.uniform(-3, 3, (81 if m < 2**16 else 9, d))
+    vals, b = dl._kde_at(samples, points)
+    assert vals.tobytes() == one_block_kde(samples, points).tobytes()
+    assert b.tobytes() == dl._bandwidths(samples).tobytes()
+
+
+def test_kde_increment_working_set_is_a_few_mb():
+    # 10^5 members x 81 centers, the shipped density size; one block of all
+    # pairs would be about 94 MB of temporaries
+    import tracemalloc
+
+    samples = np.random.default_rng(5).standard_normal((100_000, 2, 1))
+    centers = np.linspace(-3, 3, 81)
+    tracemalloc.start()
+    try:
+        est = dl.kde_increment(samples, (0.1, 0.9), centers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.values.shape == (81,)
+    assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 def test_bivariate_offset_zero_is_maximal():
     spec = brownian_spec(100_000, n_points=64)
     offs = np.array([0.0, 0.3, 0.6, 0.9, 1.2])

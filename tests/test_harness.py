@@ -233,6 +233,36 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
     assert "hurst" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", [0, -4])
+def test_jobs_below_one_rejected(tmp_path, capsys, jobs):
+    # was run serially without a word
+    spec = small_spec(tmp_path, name="x", ensemble=1)
+    with pytest.raises(RunError, match=f"jobs must be >= 1, not {jobs}"):
+        run(spec, tasks=("generate",), jobs=jobs)
+    cfg = write_config(tmp_path, f"name = x\nhurst = 0.5\nn_points = 256\noutput_dir = {tmp_path}\n")
+    assert cli.main(["gen", cfg, "--jobs", str(jobs)]) == 2
+    assert f"jobs must be >= 1, not {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_default_jobs_are_the_usable_cores(tmp_path, monkeypatch):
+    # a process pinned to fewer cores than the host has runs that many workers
+    seen = []
+
+    def fake_run(spec, tasks, jobs):
+        seen.append(jobs)
+        raise RunError("stop")
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    cfg = write_config(tmp_path, f"name = x\nhurst = 0.5\nn_points = 256\noutput_dir = {tmp_path}\n")
+    assert cli.main(["gen", cfg]) == 2
+    monkeypatch.delattr(cli.os, "sched_getaffinity")  # a platform without it
+    assert cli.main(["gen", cfg]) == 2
+    assert seen == [1, 64]
+
+
 def test_cli_failing_verdict_exit_1(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

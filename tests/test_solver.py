@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from fracdim import fbm, fields, roughpath as rp, solver
+from fracdim import config, fbm, fields, roughpath as rp, solver
 from fracdim.fbm import SamplePath, TimeGrid
 from fracdim.fields import VectorFieldSet
 from fracdim.solver import SolverScheme
@@ -449,7 +449,7 @@ def test_time_loop_matches_five_callable_reference(name, dim, h, factor, m):
     sig = rp.coarsen(rp.lift_path(paths, depth), factor)
     levels = sig.levels[:depth]
     starts = np.linspace(0.1, 0.8, m * dim).reshape(m, dim)
-    got = solver._steps(fields.resolve_fields(name, dim), starts, levels, sig.grid.spacing)
+    got = solver._steps(fields.resolve_fields(name, dim), starts, sig, depth, sig.grid.spacing)
     want = reference_steps(reference_catalog(name, dim), starts, levels, sig.grid.spacing)
     assert got.tobytes() == want.tobytes()
 
@@ -479,7 +479,7 @@ def test_elliptic_time_loop_from_zero_matches_reference():
     paths = [fbm.generate_circulant(TimeGrid(257, 0.0, 1.0), 2, 0.75, seed=60 + j) for j in range(m)]
     sig = rp.lift_path(paths, 2)
     starts = np.zeros((m, 2))
-    got = solver._steps(fields.resolve_fields("elliptic_sin_2d", 2), starts, sig.levels, sig.grid.spacing)
+    got = solver._steps(fields.resolve_fields("elliptic_sin_2d", 2), starts, sig, 2, sig.grid.spacing)
     want = reference_steps(reference_catalog("elliptic_sin_2d", 2), starts, sig.levels, sig.grid.spacing)
     assert got.tobytes() == want.tobytes()
 
@@ -502,6 +502,89 @@ def test_a_kept_solution_survives_later_solves(other, h, factor):
     solver.solve(fields.resolve_fields(other, 2), starts[::-1], driver(80), scheme)
     assert [sol.values.tobytes() for sol in kept] == want
     assert [sol.values.tobytes() for sol in solver.solve(fs, starts, driver(70), scheme)] == want
+
+# ------------------------------------------------- the run path's lift-free loop
+
+@pytest.mark.parametrize("name, dim", [("elliptic_sin_2d", 2), ("geometric_1d", 1), ("drift_only", 2)])
+@pytest.mark.parametrize("h", [0.75, 0.3], ids=["step2", "step3"])
+@pytest.mark.parametrize("segment", [64, 32, 5], ids=["seg-above", "seg-equal", "seg-not-dividing"])
+def test_run_path_states_equal_the_stored_lift_solve(monkeypatch, name, dim, h, segment):
+    # the run path forms each segment's levels from the draw's increments; a
+    # segment longer than, equal to, and not dividing the 32 steps
+    n_points, full = 32, 8
+    depth = solver.scheme_for(h).depth
+    monkeypatch.setattr(config, "_BLOCK_STATES", full * n_points)
+    spec = config.ExperimentSpec(name="t", hurst=h, dim=dim, n_points=n_points, fields=(name,),
+                                 ensemble=full + 3, base_seed=90)
+    fs, scheme = fields.resolve_fields(name, dim), solver.SolverScheme(spec.scheme)
+    draws = config.generate_driver(spec, range(spec.ensemble))
+    paths = [SamplePath(spec.grid, v, hurst=fbm.HurstParam(h)) for v in draws]
+    for chunk in ([4], [2, 5, 9], range(full)):  # 1 member, 3 members, a full chunk
+        chunk = list(chunk)
+        monkeypatch.setattr(solver, "_BLOCK_ENTRIES", segment * len(chunk) * dim**depth)
+        (done, states, failed), = config.solve_block(spec, chunk)
+        assert done == chunk and not failed
+        sig = rp.lift_path([paths[i] for i in chunk], depth)
+        starts = np.zeros((len(chunk), dim))
+        stored = solver.solve(fs, starts, sig, scheme)
+        assert states.tobytes() == np.array([sol.values for sol in stored]).tobytes()
+        for j, i in enumerate(chunk):
+            alone = solver.solve(fs, np.zeros(dim), rp.lift_path(paths[i], depth), scheme)
+            assert states[j].tobytes() == alone.values.tobytes()
+        # and against the unsegmented loop with five field calls per step
+        want = reference_steps(reference_catalog(name, dim), starts, sig.levels[:depth],
+                               spec.grid.spacing)
+        assert states.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_linear_lift_levels_equal_the_stored_lift(m, depth):
+    # the levels themselves, not only the states they drive: a level-3
+    # rounding change can stay below the states' last bit
+    paths = fbm.generate_circulant(TimeGrid(101, 0.0, 1.0), 2, 0.3, seed=range(m))
+    sig = rp.lift_path(paths, 3)
+    lazy = rp.LinearLift(sig.grid, np.array([p.values for p in paths]), 3, sig.hurst)
+    assert (lazy.members, lazy.dim, lazy.n_intervals) == (sig.members, sig.dim, sig.n_intervals)
+    for a, b in [(0, 100), (0, 1), (37, 64), (99, 100)]:
+        got, want = lazy.read(a, b, depth), sig.read(a, b, depth)
+        assert len(got) == len(want) == depth
+        for level, (g, w) in enumerate(zip(got, want), start=1):
+            assert g.shape == w.shape == (b - a, m) + (2,) * level
+            assert g.tobytes() == w.tobytes()
+            assert w.tobytes() == sig.levels[level - 1][:, a:b].swapaxes(0, 1).tobytes()
+    one = rp.lift_path(paths[0], 3)  # a one-path lift reads as a stack of one
+    for g, w in zip(one.read(37, 64, depth), sig.read(37, 64, depth)):
+        assert g.tobytes() == w[:, :1].tobytes()
+
+
+def test_run_path_chunk_holds_no_stored_lift():
+    # a 16-member step-3 chunk of 2^12 steps: the stored lift alone would be
+    # 14 floats per member-step at d = 2; the chunk holds its draw and states
+    import tracemalloc
+
+    spec = config.ExperimentSpec(name="t", hurst=0.3, dim=2, n_points=2**12,
+                                 fields=("elliptic_sin_2d",), ensemble=16, base_seed=7040)
+    fs = fields.resolve_fields("elliptic_sin_2d", 2)
+    lift_bytes = (2 + 4 + 8) * 16 * spec.n_points * 8
+    tracemalloc.start()
+    try:
+        done, states, failed = config._solve_chunk(spec, fs, list(range(16)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(done) == 16 and not failed
+    assert peak < lift_bytes, f"peak {peak / 2**20:.1f} MB, stored lift {lift_bytes / 2**20:.1f} MB"
+
+
+def test_linear_lift_keeps_the_depth_check():
+    path = fbm.generate_circulant(TimeGrid(33, 0.0, 1.0), 2, 0.3, seed=1)
+    with pytest.raises(ValueError, match="inconsistent with declared hurst"):
+        rp.LinearLift(path.grid, path.values[None], 2, path.hurst)
+    with pytest.raises(ValueError, match="needs driver depth >= 3"):
+        solver.solve(fields.resolve_fields("elliptic_sin_2d", 2), np.zeros((1, 2)),
+                     rp.LinearLift(path.grid, path.values[None], 2), SolverScheme("step3"))
+
 
 # ------------------------------------------------------------------- catalog
 
