@@ -159,9 +159,8 @@ class LinearLift:
 
         Level m has shape (b - a, members, dim, ..., dim).
         """
-        values = self.values
         inc = np.empty((b - a, self.members, self.dim))
-        np.subtract(values[:, a + 1:b + 1], values[:, a:b], out=inc.swapaxes(0, 1))
+        np.subtract(self.values[:, a + 1:b + 1], self.values[:, a:b], out=inc.swapaxes(0, 1))
         return [lv.reshape(inc.shape + lv.shape[2:])
                 for lv in _linear_levels(inc.reshape(-1, self.dim), depth)]
 

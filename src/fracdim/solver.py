@@ -130,10 +130,11 @@ def _steps(
     contracts with ``np.matmul(..., out=)`` (step 3's V·b3 product with
     ``np.einsum(..., out=)``) against the segment's next rows, writing the
     new state into the segment's next state row.  So a step allocates no
-    array, apart from a drift's (V0, DV0) and their Taylor pair.  Each contraction is a batched product over the members'
-    own small matrices, so a member's states do not depend on the block it
-    is solved in.  A member whose state passes the overflow guard goes on,
-    possibly as inf or NaN; ``solve`` finds its step afterwards.
+    array, apart from a drift's (V0, DV0) and their Taylor pair.  Each
+    contraction is a batched product over the members' own small matrices,
+    so a member's states do not depend on the block it is solved in.  A
+    member whose state passes the overflow guard goes on, possibly as inf
+    or NaN; ``solve`` finds its step afterwards.
     """
     m, n, d = x0.shape[0], fields.dim_state, driver.dim
     n_steps = driver.n_intervals
