@@ -343,17 +343,15 @@ def _solve_chunk(
         paths = _constant_field_path(fs, starts, paths)
     elif drawn:
         # the driver reads the draws: the time loop forms each segment's levels
-        # from their increments, so no lift of the chunk is stored
+        # from their increments, so no lift of the chunk is stored; the solve
+        # writes into one states array, and the survivors are its rows
         scheme = SolverScheme(spec.scheme)
+        states = np.empty((len(drawn), spec.grid.n_points, fs.dim_state))
         sols = solve(fs, starts, LinearLift(spec.grid, paths, scheme.depth, HurstParam(spec.hurst)),
-                     scheme)
+                     scheme, out=states)
         failed.update((i, sol) for i, sol in zip(drawn, sols) if isinstance(sol, Exception))
         kept = [j for j, sol in enumerate(sols) if not isinstance(sol, Exception)]
-        if kept:  # every solution is a row of the solve's one states array: keep its rows
-            states = sols[kept[0]].values.base
-            paths = states if len(kept) == len(drawn) else states[kept]
-        else:
-            paths = np.empty((0, spec.grid.n_points, fs.dim_state))
+        paths = states if len(kept) == len(drawn) else states[kept]
         drawn = [drawn[j] for j in kept]
     return drawn, paths, failed
 

@@ -115,11 +115,12 @@ def _constant_field_path(fields: VectorFieldSet, x0: np.ndarray, path: np.ndarra
 
 def _steps(
     fields: VectorFieldSet, x0: np.ndarray, driver: SignaturePath | LinearLift, depth: int,
-    dt: float,
+    dt: float, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """States (members, n_steps + 1, n) of the members, advanced together in one time loop.
 
-    Every buffer is allocated here, once per solve: the features, the flat
+    They are written into ``out`` if given.  Every other buffer is allocated
+    here, once per solve: the features, the flat
     jet with its V, DV and D²V views, one output per contraction, and the
     time-major states of one segment.  The driver's first ``depth`` levels
     are read a segment of up to ``_BLOCK_ENTRIES // (members d^depth)`` steps
@@ -158,7 +159,8 @@ def _steps(
         inner_col = inner.reshape(m, n * d, 1)
         u = np.empty((m, n, n, d))
         u_col = u.reshape(m, n * n * d, 1)
-    out = np.empty((m, n_steps + 1, n))
+    if out is None:
+        out = np.empty((m, n_steps + 1, n))
     out[:, 0] = x0
     x = np.array(x0)
     half_dt2 = 0.5 * dt * dt
@@ -198,6 +200,7 @@ def solve(
     x0: np.ndarray,
     driver: SignaturePath | LinearLift,
     scheme: SolverScheme,
+    out: np.ndarray | None = None,
 ) -> SamplePath | list[SamplePath | SolverError]:
     """One state per grid point of the driver.
 
@@ -218,7 +221,9 @@ def solve(
     n) and is solved in one time loop.  It returns one entry per
     member: its solution, or the SolverError that names the step where its
     state failed the guard.  Member j's solution equals the solve of member j
-    alone, bit for bit.
+    alone, bit for bit.  ``out``, a float array of shape (members, n_points,
+    n) (members 1 for one path), receives the states, and each solution's
+    values are a row of it.
     """
     x0 = np.asarray(x0, dtype=float)
     if driver.dim != fields.dim_noise:
@@ -236,14 +241,20 @@ def solve(
     starts = x0 if stacked else x0[None]
 
     grid = driver.grid
+    shape = (len(starts), grid.n_points, fields.dim_state)
+    if out is not None and (out.dtype != float or out.shape != shape):
+        raise ValueError(f"out must be a float array of shape {shape}")
     if fields.constant:
         # state-independent fields: derivative contractions vanish identically
         inc = driver.read(0, driver.n_intervals, 1)[0]
         path = np.zeros((len(starts), grid.n_points, driver.dim))
         np.cumsum(inc.swapaxes(0, 1), axis=1, out=path[:, 1:])
         states = _constant_field_path(fields, starts, path)
+        if out is not None:
+            out[...] = states
+            states = out
     else:
-        states = _steps(fields, starts, driver, scheme.depth, grid.spacing)
+        states = _steps(fields, starts, driver, scheme.depth, grid.spacing, out)
     # the guard, also against NaN: a member fails at its first bad step;
     # one member at a time, so its temporaries are one member's size
     bad = [~(np.abs(values[1:]) <= OVERFLOW_GUARD).all(axis=1) for values in states]
