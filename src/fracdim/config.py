@@ -14,6 +14,7 @@ solved a chunk of ``_BLOCK_STATES`` member-steps at a time.
 """
 from __future__ import annotations
 
+import math
 import numbers
 import os
 from collections.abc import Iterator, Sequence
@@ -56,7 +57,7 @@ TASK_PARAMS: dict[str, dict] = {
                  "slope_tol": 0.15, "levelset_hit_floor": 0.10, "levelset_min_points": 32},
     "tail": {"s": 0.0, "t": lambda spec: float(spec.t_end), "halvings": 4, "xi_quantile": 0.9,
              "tail_r2_floor": 0.9, "tail_delta_r2": 0.02, "tail_rank_corr": 0.8},
-    "density": {"s": 0.1, "t": lambda spec: 0.9 * spec.t_end,
+    "density": {"s": 0.125, "t": lambda spec: 0.875 * spec.t_end,
                 "envelope_r2_increment": 0.85, "kde_mode_rel_tol": 0.10},
     "bivariate": {"s": 0.25, "t": 0.75,
                   "envelope_r2_bivariate": 0.80, "bivariate_oracle_rel_tol": 0.15},
@@ -78,14 +79,31 @@ def _increasing_positive(values) -> bool:
     return len(values) >= 2 and values[0] > 0 and all(b > a for a, b in zip(values, values[1:]))
 
 
-#: the KDE tasks read each member's state at times s < t, away from 0 and on the grid
+def _grid_time(key: str) -> tuple:
+    """The rule that setting ``key`` is a time of the spec's grid; its need names the nearest two."""
+    def on_grid(p, spec):
+        k = p[key] * spec.n_points / spec.t_end
+        return abs(k - round(k)) <= 1e-9
+
+    def need(p, spec):
+        k = math.floor(p[key] * spec.n_points / spec.t_end)
+        near = (k * spec.t_end / spec.n_points, (k + 1) * spec.t_end / spec.n_points)
+        return f"a grid time, a multiple of t_end / n_points (nearest {near[0]!r} and {near[1]!r})"
+
+    return (key, on_grid, need)
+
+
+#: the KDE tasks read each member's state at grid times s < t, away from 0
 _KDE_TIMES = (
     ("s", lambda p, spec: 0.1 <= p["s"] < p["t"], "0.1 <= s < t"),
     ("t", lambda p, spec: p["t"] <= spec.t_end, "t <= t_end"),
+    _grid_time("s"),
+    _grid_time("t"),
 )
 
-#: task -> (key, test of its settings and the spec, what the test needs); a task
-#: whose settings fail is rejected before it solves a member
+#: task -> (key, test of its settings and the spec, what the test needs, or a
+#: callable of both that says it); a task whose settings fail is rejected before
+#: it solves a member
 _TASK_RULES: dict[str, tuple] = {
     "energy": (
         ("levels", lambda p, spec: p["levels"] >= 2, "at least 2 refinement levels"),
@@ -242,6 +260,7 @@ class ExperimentSpec:
             if not usable(settings, self):
                 value = settings[key]
                 shown = ",".join(map(str, value)) if isinstance(value, tuple) else value
+                need = need(settings, self) if callable(need) else need
                 raise ConfigError(f"[{task}] {key} = {shown}: needs {need}")
 
     def resolved_output_dir(self) -> Path:

@@ -40,8 +40,7 @@ class TruncatedTensor:
     levels: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.depth <= MAX_DEPTH:
-            raise ValueError(f"depth must be 1..{MAX_DEPTH}")
+        _check_depth(self.depth, None)
         if len(self.levels) != self.depth + 1:
             raise ValueError("levels must run from 0 to depth")
         fixed = []
@@ -62,7 +61,8 @@ class SignaturePath:
     ``levels[m-1]`` stacks the level-m tensors of all intervals with shape
     (n_intervals, dim, ..., dim).  The lift of a block of paths on one grid
     puts a leading member axis before it: (members, n_intervals, dim, ..., dim).
-    Chen-consistency across adjacent intervals holds by construction.
+    Chen-consistency across adjacent intervals holds by construction.  The
+    depth is checked against the Hurst index as ``lift_path`` checks it.
     """
 
     grid: TimeGrid
@@ -72,6 +72,9 @@ class SignaturePath:
     hurst: HurstParam | None = None
 
     def __post_init__(self) -> None:
+        _check_depth(self.depth, self.hurst)
+        if len(self.levels) != self.depth:
+            raise ValueError(f"a depth-{self.depth} lift holds levels 1..{self.depth}")
         n = self.grid.n_points - 1
         lead = self.levels[0].shape[:-2]
         for m, lv in enumerate(self.levels, start=1):
@@ -97,12 +100,12 @@ class SignaturePath:
         )
 
     def combined(self, i: int, j: int) -> TruncatedTensor:
-        """Signature over [t_i, t_j], in closed form from the running signatures."""
+        """Signature over [t_i, t_j]: the Chen product of intervals i..j-1."""
         self._require_one_path()
         if not 0 <= i < j <= self.n_intervals:
             raise ValueError("need 0 <= i < j <= n_intervals")
-        levels = _between(_cumulative(self), i, j)
-        return TruncatedTensor(self.dim, self.depth, (np.array(1.0), *levels))
+        levels = _fold([lv[i:j] for lv in self.levels], j - i)
+        return TruncatedTensor(self.dim, self.depth, (np.array(1.0), *(lv[0] for lv in levels)))
 
     def _require_one_path(self) -> None:
         if self.members is not None:
@@ -167,16 +170,9 @@ class LinearLift:
 
 def segment_signature(increment: np.ndarray, depth: int) -> TruncatedTensor:
     """Signature exp(increment) of a linear segment: level m is Delta^(x)m / m!."""
-    delta = np.asarray(increment, dtype=float).reshape(-1)
-    d = delta.size
-    levels: list[np.ndarray] = [np.array(1.0)]
-    if depth >= 1:
-        levels.append(delta.copy())
-    if depth >= 2:
-        levels.append(np.multiply.outer(delta, delta) / 2.0)
-    if depth >= 3:
-        levels.append(np.multiply.outer(np.multiply.outer(delta, delta), delta) / 6.0)
-    return TruncatedTensor(d, depth, tuple(levels))
+    delta = np.array(increment, dtype=float).reshape(1, -1)
+    levels = [lv[0] for lv in _linear_levels(delta, depth)]
+    return TruncatedTensor(delta.shape[1], depth, (np.array(1.0), *levels))
 
 
 def chen_concat(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
@@ -234,7 +230,6 @@ def lift_path(path: SamplePath | Sequence[SamplePath], depth: int) -> SignatureP
     """
     paths = [path] if isinstance(path, SamplePath) else list(path)
     first = paths[0]
-    _check_depth(depth, first.hurst)
     # component-major storage, as np.diff leaves a sampler's path, keeps the
     # products below on long contiguous runs
     n, d = first.grid.n_points - 1, first.dim
@@ -258,79 +253,29 @@ def coarsen(sig: SignaturePath, factor: int) -> SignaturePath:
         raise ValueError("factor must divide the interval count")
     if factor == 1:
         return sig
-    nb = n // factor
-    d = sig.dim
-    lead = sig.levels[0].shape[:-2]
-    b1 = sig.levels[0].reshape(lead + (nb, factor, d))
-    g1 = np.zeros(lead + (nb, d))
-    g2 = np.zeros(lead + (nb, d, d)) if sig.depth >= 2 else None
-    g3 = np.zeros(lead + (nb, d, d, d)) if sig.depth >= 3 else None
-    if sig.depth >= 2:
-        b2 = sig.levels[1].reshape(lead + (nb, factor, d, d))
-    if sig.depth >= 3:
-        b3 = sig.levels[2].reshape(lead + (nb, factor, d, d, d))
-    for r in range(factor):
-        a1 = b1[..., r, :]
-        if sig.depth >= 3:
-            g3 += (
-                b3[..., r, :, :, :]
-                + np.einsum("...i,...jk->...ijk", g1, b2[..., r, :, :])
-                + np.einsum("...ij,...k->...ijk", g2, a1)
-            )
-        if sig.depth >= 2:
-            g2 += b2[..., r, :, :] + np.einsum("...i,...j->...ij", g1, a1)
-        g1 += a1
-    grid = TimeGrid(nb + 1, sig.grid.t_start, sig.grid.t_end)
-    levels = [g1] + ([g2] if g2 is not None else []) + ([g3] if g3 is not None else [])
-    return SignaturePath(grid, d, sig.depth, tuple(levels), hurst=sig.hurst)
+    grid = TimeGrid(n // factor + 1, sig.grid.t_start, sig.grid.t_end)
+    return SignaturePath(grid, sig.dim, sig.depth, tuple(_fold(sig.levels, factor)), hurst=sig.hurst)
 
 
-def _cumulative(sig: SignaturePath) -> list[np.ndarray]:
-    """Running signatures g_k over [t_0, t_k] for k = 0..n_intervals."""
-    n, d = sig.n_intervals, sig.dim
-    b1 = sig.levels[0]
-    g1 = np.zeros((n + 1, d))
-    np.cumsum(b1, axis=0, out=g1[1:])
-    out = [g1]
-    if sig.depth >= 2:
-        b2 = sig.levels[1]
-        inc2 = b2 + np.einsum("ki,kj->kij", g1[:-1], b1)
-        g2 = np.zeros((n + 1, d, d))
-        np.cumsum(inc2, axis=0, out=g2[1:])
-        out.append(g2)
-    if sig.depth >= 3:
-        b3 = sig.levels[2]
-        inc3 = (
-            b3
-            + np.einsum("ki,kjl->kijl", g1[:-1], b2)
-            + np.einsum("kij,kl->kijl", g2[:-1], b1)
-        )
-        g3 = np.zeros((n + 1, d, d, d))
-        np.cumsum(inc3, axis=0, out=g3[1:])
-        out.append(g3)
-    return out
+def _fold(levels: Sequence[np.ndarray], factor: int) -> list[np.ndarray]:
+    """Levels 1..depth of the Chen products of consecutive intervals in blocks of ``factor``.
 
-
-def _between(cum: list[np.ndarray], i: int, j: int) -> list[np.ndarray]:
-    """Levels 1..depth of g_i^-1 (x) g_j, the signature over [t_i, t_j].
-
-    ``cum`` holds the running signatures of ``_cumulative``.
+    Level m holds the intervals on the axis before its m tensor axes, after
+    any member axis; the blocks take their place, folded interval by interval.
     """
-    a1 = cum[0][i]
-    l1 = cum[0][j] - a1
-    out = [l1]
-    if len(cum) >= 2:
-        a2 = cum[1][i]
-        d2 = cum[1][j] - a2
-        out.append(d2 - np.einsum("...i,...j->...ij", a1, l1))
-    if len(cum) >= 3:
-        out.append(
-            cum[2][j]
-            - cum[2][i]
-            - np.einsum("...ij,...l->...ijl", a2, l1)
-            - np.einsum("...i,...jl->...ijl", a1, d2)
-            + np.einsum("...i,...j,...l->...ijl", a1, a1, l1)
-        )
-    return out
-
-
+    *lead, n, d = levels[0].shape
+    blocks = (*lead, n // factor)
+    b = [lv.reshape(blocks + (factor,) + (d,) * m) for m, lv in enumerate(levels, start=1)]
+    g = [np.zeros(blocks + (d,) * m) for m in range(1, len(levels) + 1)]
+    for r in range(factor):
+        a1 = b[0][..., r, :]
+        if len(g) >= 3:
+            g[2] += (
+                b[2][..., r, :, :, :]
+                + np.einsum("...i,...jk->...ijk", g[0], b[1][..., r, :, :])
+                + np.einsum("...ij,...k->...ijk", g[1], a1)
+            )
+        if len(g) >= 2:
+            g[1] += b[1][..., r, :, :] + np.einsum("...i,...j->...ij", g[0], a1)
+        g[0] += a1
+    return g

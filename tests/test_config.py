@@ -140,7 +140,7 @@ def test_task_settings_fill_defaults_from_the_spec():
     )
     tail = spec.task_settings("tail")
     assert (tail["s"], tail["t"], tail["halvings"], tail["tail_r2_floor"]) == (0.0, 2.0, 3, 0.9)
-    assert spec.task_settings("density")["t"] == 0.9 * 2.0
+    assert spec.task_settings("density")["t"] == 0.875 * 2.0
     assert spec.task_settings("levelset")["t_hi"] == 2.0
     assert spec.task_settings("mu")["sharpness"] == (8,)
 
@@ -193,6 +193,9 @@ def test_bad_section_key_rejected(task, key, value):
         ("bivariate", "s", "s = 0.05", ""),
         ("bivariate", "s", "s = 0.75\nt = 0.25", ""),
         ("bivariate", "t", "t = 0.75", "t_end = 0.5\n"),
+        ("density", "s", "s = 0.1", "n_points = 64\n"),
+        ("density", "t", "t = 0.9", "n_points = 64\n"),
+        ("bivariate", "t", "t = 0.7", "n_points = 64\n"),
     ],
 )
 def test_unusable_task_setting_rejected(task, key, section, top):
@@ -200,6 +203,19 @@ def test_unusable_task_setting_rejected(task, key, section, top):
     text = f"name = x\nhurst = 0.5\n{top}tasks = {task}\n[{task}]\n{section}\n"
     with pytest.raises(ConfigError, match=names_both):
         parse_spec(text)
+
+
+def test_kde_times_off_the_grid_name_the_nearest_grid_times():
+    # the states are read at grid points, so an off-grid s or t would be
+    # checked and reported at a time the estimate never read
+    text = "name = x\nhurst = 0.5\nn_points = 64\ntasks = density\n[density]\ns = 0.1\n"
+    with pytest.raises(ConfigError, match=r"\[density\] s = 0.1: .*grid time.*0\.09375 and 0\.109375"):
+        parse_spec(text)
+    text = "name = x\nhurst = 0.5\nn_points = 64\nt_end = 0.6\ntasks = bivariate\n[bivariate]\ns = 0.3\nt = 0.45\n"
+    spec = parse_spec(text)
+    assert (spec.task_settings("bivariate")["s"], spec.task_settings("bivariate")["t"]) == (0.3, 0.45)
+    for t_end in (1.0, 2.0):  # the defaults are grid times
+        parse_spec(f"name = x\nhurst = 0.5\nn_points = 64\nt_end = {t_end}\ntasks = density, bivariate\n")
 
 
 def test_unusable_setting_of_a_requested_task_fails_before_any_solve(tmp_path, monkeypatch):

@@ -133,6 +133,19 @@ def test_lift_depth_rules():
     rp.lift_path(q, 3)
 
 
+def test_malformed_lift_rejected():
+    # a depth-3 lift of two levels, or a depth past the cap, would fail deep in
+    # a solve or a coarsening
+    p = fbm.generate_circulant(TimeGrid(9, 0.0, 1.0), 2, 0.3, seed=0)
+    sig = rp.lift_path(p, 3)
+    with pytest.raises(ValueError, match="levels 1..3"):
+        rp.SignaturePath(sig.grid, sig.dim, 3, sig.levels[:2])
+    with pytest.raises(ValueError, match="depth must be"):
+        rp.SignaturePath(sig.grid, sig.dim, 7, sig.levels + sig.levels[:1] * 4)
+    with pytest.raises(ValueError, match="inconsistent with declared hurst"):
+        rp.SignaturePath(sig.grid, sig.dim, 2, sig.levels[:2], hurst=p.hurst)
+
+
 def test_lift_refinement_consistency():
     # dyadic refinement oracle: coarsened fine lift approaches the coarse lift
     rng = np.random.default_rng(5)
@@ -190,10 +203,54 @@ def chen_fold(sig, i, j):
 
 @pytest.mark.parametrize("depth", [2, 3])
 def test_closed_form_increments_match_chen_fold(depth):
-    # combined reads increments in closed form off the running signatures;
-    # the interval-by-interval Chen fold is the reference
+    # combined folds the intervals with coarsen's Chen products; the fold of
+    # TruncatedTensor products by chen_concat is the reference
     rng = np.random.default_rng(depth)
     sig = rp.lift_path(make_path(rng.normal(size=(7, 2)).cumsum(axis=0)), depth)
     for i in range(6):
         for j in range(i + 1, 7):
             assert tensors_close(sig.combined(i, j), chen_fold(sig, i, j), tol=1e-12)
+
+
+def reference_coarsen_levels(sig, factor):
+    # the three-level loop coarsen ran before its fold was shared with combined
+    n, d = sig.n_intervals, sig.dim
+    nb = n // factor
+    lead = sig.levels[0].shape[:-2]
+    b1 = sig.levels[0].reshape(lead + (nb, factor, d))
+    g1 = np.zeros(lead + (nb, d))
+    g2 = np.zeros(lead + (nb, d, d)) if sig.depth >= 2 else None
+    g3 = np.zeros(lead + (nb, d, d, d)) if sig.depth >= 3 else None
+    if sig.depth >= 2:
+        b2 = sig.levels[1].reshape(lead + (nb, factor, d, d))
+    if sig.depth >= 3:
+        b3 = sig.levels[2].reshape(lead + (nb, factor, d, d, d))
+    for r in range(factor):
+        a1 = b1[..., r, :]
+        if sig.depth >= 3:
+            g3 += (
+                b3[..., r, :, :, :]
+                + np.einsum("...i,...jk->...ijk", g1, b2[..., r, :, :])
+                + np.einsum("...ij,...k->...ijk", g2, a1)
+            )
+        if sig.depth >= 2:
+            g2 += b2[..., r, :, :] + np.einsum("...i,...j->...ij", g1, a1)
+        g1 += a1
+    return [g for g in (g1, g2, g3) if g is not None]
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_coarsen_bytes_match_the_three_level_loop(depth, dim, stacked):
+    rng = np.random.default_rng(10 * depth + dim)
+    grid = TimeGrid(129, 0.0, 1.0)
+    paths = [SamplePath(grid, rng.normal(size=(129, dim)).cumsum(axis=0)) for _ in range(3)]
+    sig = rp.lift_path(paths if stacked else paths[0], depth)
+    for factor in (2, 4, 8, 64, 128):
+        coarse = rp.coarsen(sig, factor)
+        expected = reference_coarsen_levels(sig, factor)
+        assert coarse.grid == TimeGrid(128 // factor + 1, 0.0, 1.0)
+        assert len(coarse.levels) == len(expected) == depth
+        for got, want in zip(coarse.levels, expected):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
