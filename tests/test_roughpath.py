@@ -213,7 +213,8 @@ def test_closed_form_increments_match_chen_fold(depth):
 
 
 def reference_coarsen_levels(sig, factor):
-    # the three-level loop coarsen ran before its fold was shared with combined
+    # the reference: coarsen's Chen products written out level by level, one
+    # interval of each block at a time
     n, d = sig.n_intervals, sig.dim
     nb = n // factor
     lead = sig.levels[0].shape[:-2]
