@@ -101,14 +101,23 @@ _KDE_TIMES = (
     _grid_time("t"),
 )
 
+#: ``dimension._anchored_slope`` fits at least 4 scales
+_OCTAVES = (
+    ("octaves", lambda p, spec: p["octaves"] >= 3, "at least 3 octaves, 4 box-count scales"),
+)
+
 #: task -> (key, test of its settings and the spec, what the test needs, or a
 #: callable of both that says it); a task whose settings fail is rejected before
 #: it solves a member
 _TASK_RULES: dict[str, tuple] = {
+    "dim_image": _OCTAVES,
+    "dim_graph": _OCTAVES,
     "energy": (
         ("levels", lambda p, spec: p["levels"] >= 2, "at least 2 refinement levels"),
         ("levels", lambda p, spec: 2 ** (p["levels"] - 1) <= spec.n_points,
          "2^(levels-1) <= n_points, the coarsest decimation factor"),
+        ("gamma_offset", lambda p, spec: 0 < p["gamma_offset"] < min(spec.dim, 1 / spec.hurst),
+         "0 < gamma_offset < min(d, 1/H), an order on each side of it and both positive"),
     ),
     "mu": (
         ("sharpness", lambda p, spec: _increasing_positive(p["sharpness"]),
@@ -119,10 +128,14 @@ _TASK_RULES: dict[str, tuple] = {
     "levelset": (
         ("t_lo", lambda p, spec: 0 <= p["t_lo"] < p["t_hi"], "0 <= t_lo < t_hi"),
         ("t_hi", lambda p, spec: p["t_hi"] <= spec.t_end, "t_hi <= t_end"),
+        ("halvings", lambda p, spec: p["halvings"] >= 2, "at least 2 tube widths to compare"),
     ),
     "tail": (
         ("s", lambda p, spec: 0 <= p["s"] < p["t"], "0 <= s < t"),
         ("t", lambda p, spec: p["t"] <= spec.t_end, "t <= t_end"),
+        ("halvings", lambda p, spec: p["halvings"] >= 3,
+         "at least 3 windows, the fewest the scaling fit reads"),
+        ("xi_quantile", lambda p, spec: 0 <= p["xi_quantile"] <= 1, "0 <= xi_quantile <= 1"),
     ),
     "density": _KDE_TIMES,
     "bivariate": _KDE_TIMES,
@@ -130,7 +143,8 @@ _TASK_RULES: dict[str, tuple] = {
 
 
 def _as_type_of(default, value):
-    """``value`` converted to the type of ``default``; ValueError if it has another."""
+    """``value`` converted to the type of ``default``; ValueError if it has another,
+    or is a float that is not finite."""
     if isinstance(default, tuple) and isinstance(value, (numbers.Integral, str)):
         try:
             return tuple(int(v) for v in str(value).split(","))
@@ -139,8 +153,10 @@ def _as_type_of(default, value):
     elif isinstance(default, int) and isinstance(value, numbers.Integral):
         return int(value)
     elif not isinstance(default, (int, tuple)) and isinstance(value, numbers.Real):
-        return float(value)
-    kind = {tuple: "comma-separated integers", int: "an integer"}.get(type(default), "a number")
+        if math.isfinite(value):
+            return float(value)
+    kinds = {tuple: "comma-separated integers", int: "an integer"}
+    kind = kinds.get(type(default), "a finite number")
     raise ValueError(f"expected {kind}")
 
 

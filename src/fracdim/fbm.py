@@ -10,7 +10,7 @@ import functools
 import math
 import numbers
 import struct
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
@@ -46,8 +46,9 @@ TOL_PSD = 1e-10
 NEG_EIG_TOL = 1e-8
 _JITTER_ROUNDS = 3
 _JITTER_BASE = 1e-12
-#: most circulant embedding values (members x components x embedding size) one
-#: FFT of ``generate_circulant`` holds; a path of 2^16 steps or more is one FFT alone
+#: most circulant embedding values one FFT of ``generate_circulant`` holds, counted
+#: in whole streams of M values: whole seeds when they fit, else as many of a seed's
+#: components as fit; from 2^15 steps (M = 2^16) each component is one FFT alone
 _GROUP_VALUES = 2**16
 
 PATH_MAGIC = b"FRD1"
@@ -184,9 +185,9 @@ def component_rng(seed: int, component: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _stream_normals(seeds: Sequence[int], d: int, size: int) -> np.ndarray:
-    """(len(seeds), d, size) standard normals; row (k, j) is what
-    ``component_rng(seeds[k], j).standard_normal(size)`` draws.
+def _fill_normals(rows: np.ndarray, streams: Iterable[tuple[int, int]]) -> None:
+    """Fill each row of ``rows`` with what ``component_rng(seed, j).standard_normal``
+    draws, for each (seed, j) of ``streams`` in turn.
 
     Philox is counter-based and keyed, so one generator re-keyed for each
     stream, with counter 0 and an empty buffer, replaces a generator per stream.
@@ -194,13 +195,17 @@ def _stream_normals(seeds: Sequence[int], d: int, size: int) -> np.ndarray:
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     normal = np.random.Generator(bits).standard_normal
     empty = np.zeros(4, dtype=np.uint64)
+    for row, (s, j) in zip(rows, streams):
+        key = np.array([s % 2**64, j], dtype=np.uint64)
+        bits.state = {"bit_generator": "Philox", "state": {"counter": empty, "key": key},
+                      "buffer": empty, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        normal(out=row)
+
+
+def _stream_normals(seeds: Sequence[int], d: int, size: int) -> np.ndarray:
+    """(len(seeds), d, size) standard normals; row (k, j) is ``component_rng(seeds[k], j)``'s."""
     out = np.empty((len(seeds), d, size))
-    for k, s in enumerate(seeds):
-        for j in range(d):
-            key = np.array([s % 2**64, j], dtype=np.uint64)
-            bits.state = {"bit_generator": "Philox", "state": {"counter": empty, "key": key},
-                          "buffer": empty, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-            normal(out=out[k, j])
+    _fill_normals(out.reshape(-1, size), ((s, j) for s in seeds for j in range(d)))
     return out
 
 
@@ -314,8 +319,9 @@ def _embedding_eigenvalues(H: float, m: int) -> np.ndarray:
     def eigs(mm: int) -> np.ndarray:
         k = np.arange(mm + 1, dtype=float)
         gamma = 0.5 * ((k + 1) ** (2 * H) - 2 * k ** (2 * H) + np.abs(k - 1) ** (2 * H))
-        row = np.concatenate([gamma[:-1], [gamma[mm]], gamma[mm - 1 : 0 : -1]])
-        return np.fft.fft(row).real
+        row = np.concatenate([gamma[:-1], [gamma[mm]], gamma[mm - 1 : 0 : -1]], dtype=complex)
+        del k, gamma  # the transform's peak holds the row alone
+        return np.fft.fft(row, out=row).real.copy()  # owns its data, not a view of row
 
     lam = eigs(m)
     for doubled in (False, True):
@@ -337,9 +343,11 @@ def _circulant_values(
 ) -> np.ndarray:
     """The circulant draws of ``seeds`` as one (len(seeds), n_points, d) array.
 
-    Each (seed, component) stream is ``component_rng``'s (``_stream_normals``).
-    The draws of up to ``_GROUP_VALUES`` embedding values are transformed in
-    one FFT; each row is bit-identical to a draw of its seed alone.
+    Each (seed, component) stream is ``component_rng``'s, drawn into its row of
+    one complex buffer, where its Hermitian vector is built and transformed in
+    place.  A transform holds ``_GROUP_VALUES // M`` streams, at least one: whole
+    seeds, else a long seed's components one or more at a time.  Each row is
+    bit-identical to a draw of its seed alone.
     """
     H = _hurst_value(h)
     if d < 1:
@@ -352,23 +360,31 @@ def _circulant_values(
     half = M // 2
     scale = np.sqrt(lam)
     step = grid.spacing**H
-    size = max(1, _GROUP_VALUES // (d * M))
+    per = max(1, _GROUP_VALUES // M)  # streams per transform
+    size, width = (per // d, d) if per >= d else (1, per)
+    buf = np.empty(min(size, len(seeds)) * width * M, dtype=complex)
     values = np.zeros((len(seeds), m + 1, d))
     for a in range(0, len(seeds), size):
         group = seeds[a:a + size]
-        draws = _stream_normals(group, d, M)
-        z = np.empty(draws.shape, dtype=complex)
-        z[..., 0] = draws[..., 0]
-        z[..., half] = draws[..., 1]
-        z[..., 1:half] = (draws[..., 2 : half + 1] + 1j * draws[..., half + 1 :]) / math.sqrt(2.0)
-        z[..., half + 1 :] = np.conj(z[..., 1:half][..., ::-1])
-        del draws
-        # in place, the transform too: one complex buffer
-        z *= scale
-        np.fft.ifft(z, axis=-1, out=z)
-        z *= math.sqrt(M)
-        out = values[a:a + len(group), 1:].transpose(0, 2, 1)
-        np.cumsum(z.real[..., :m] * step, axis=-1, out=out)
+        for c in range(0, d, width):
+            comps = range(c, min(d, c + width))
+            z = buf[:len(group) * len(comps) * M].reshape(len(group), len(comps), M)
+            # each stream's M normals fill the float upper half of its row
+            zf = z.view(float)
+            _fill_normals(zf.reshape(-1, 2 * M)[:, M:], ((s, j) for s in group for j in comps))
+            ends = zf[..., M:M + 2].copy()  # normals 0 and 1: entries 0 and half
+            zf[..., 2:M:2] = zf[..., M + 2:M + half + 1]  # real parts: normals 2..half
+            zf[..., 3:M:2] = zf[..., M + half + 1:]  # imaginary parts: normals half+1..M-1
+            z[..., 1:half] /= math.sqrt(2.0)
+            z[..., [0, half]] = ends
+            np.conjugate(z[..., half - 1:0:-1], out=z[..., half + 1:])
+            z *= scale
+            np.fft.ifft(z, axis=-1, out=z)
+            z *= math.sqrt(M)
+            re = z.real[..., :m]
+            re *= step
+            out = values[a:a + len(group), 1:, c:c + len(comps)].transpose(0, 2, 1)
+            np.cumsum(re, axis=-1, out=out)
     return values
 
 

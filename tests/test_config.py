@@ -157,6 +157,10 @@ def test_task_settings_fill_defaults_from_the_spec():
         ("bivariate", "envelope_r2", "0.8"),
         ("energy", "levels", "4.0"),
         ("mu", "sharpness", "4,x"),
+        ("dim_image", "slope_tol", "inf"),
+        ("energy", "gamma_offset", "nan"),
+        ("tail", "xi_quantile", "nan"),
+        ("dim_graph", "slope_tol", "-inf"),
     ],
 )
 def test_bad_section_key_rejected(task, key, value):
@@ -196,6 +200,16 @@ def test_bad_section_key_rejected(task, key, value):
         ("density", "s", "s = 0.1", "n_points = 64\n"),
         ("density", "t", "t = 0.9", "n_points = 64\n"),
         ("bivariate", "t", "t = 0.7", "n_points = 64\n"),
+        ("tail", "xi_quantile", "xi_quantile = 1.5", ""),
+        ("tail", "xi_quantile", "xi_quantile = -0.1", ""),
+        ("tail", "halvings", "halvings = 0", ""),
+        ("tail", "halvings", "halvings = 2", ""),
+        ("levelset", "halvings", "halvings = 1", ""),
+        ("dim_image", "octaves", "octaves = 0", ""),
+        ("dim_graph", "octaves", "octaves = 2", ""),
+        ("energy", "gamma_offset", "gamma_offset = 1.0", ""),
+        ("energy", "gamma_offset", "gamma_offset = 0", ""),
+        ("energy", "gamma_offset", "gamma_offset = -0.1", ""),
     ],
 )
 def test_unusable_task_setting_rejected(task, key, section, top):

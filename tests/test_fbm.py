@@ -188,23 +188,85 @@ def test_circulant_deterministic():
 
 
 @pytest.mark.parametrize(
-    "n, d, per_group",
-    [(65, 1, None), (257, 2, None), (257, 2, 3), (2**15 + 1, 2, None), (2**16 + 1, 1, None)],
-    ids=["one-group", "one-group-d2", "groups-of-3", "alone-d2", "alone"],
+    "n, d, streams",
+    [(65, 1, None), (257, 2, None), (257, 2, 6), (65, 3, 2), (2**15 + 1, 2, None),
+     (2**16 + 1, 1, None)],
+    ids=["one-group", "one-group-d2", "groups-of-3", "components-2+1", "alone-d2", "alone"],
 )
-def test_circulant_seed_list_matches_one_call_per_seed(monkeypatch, n, d, per_group):
-    # the default groups hold every seed at n = 64 and 256 and one seed from
-    # 2^15 steps at d = 2; groups of 3 leave a short last group
+def test_circulant_seed_list_matches_one_call_per_seed(monkeypatch, n, d, streams):
+    # the default groups hold every seed at n = 64 and 256 and one component
+    # from 2^15 steps; 6 streams at d = 2 are groups of 3 seeds, which leave a
+    # short last group, and 2 streams at d = 3 split each seed's components 2 + 1
     grid = unit_grid(n)
-    if per_group is not None:
+    if streams is not None:
         size = fbm._embedding_eigenvalues(0.4, n - 1).size
-        monkeypatch.setattr(fbm, "_GROUP_VALUES", per_group * d * size)
+        monkeypatch.setattr(fbm, "_GROUP_VALUES", streams * size)
     seeds = [0, 7, 3, 7040, 2**64 - 1, 12, 5]
     paths = fbm.generate_circulant(grid, d, 0.4, seeds)
     assert [p.seed for p in paths] == seeds
     for seed, path in zip(seeds, paths):
         alone = fbm.generate_circulant(grid, d, 0.4, seed)
         assert path.values.tobytes() == alone.values.tobytes()
+
+
+def formula_draw(grid, d, h, seeds):
+    """The circulant draw as a formula over whole arrays: the stacked normals,
+    the complex Hermitian vector, one transform of every stream, and a scaled copy."""
+    m = grid.n_points - 1
+    lam = fbm._embedding_eigenvalues(h, m)
+    M, half = lam.size, lam.size // 2
+    draws = fbm._stream_normals(seeds, d, M)
+    z = np.empty(draws.shape, dtype=complex)
+    z[..., 0] = draws[..., 0]
+    z[..., half] = draws[..., 1]
+    z[..., 1:half] = (draws[..., 2 : half + 1] + 1j * draws[..., half + 1 :]) / math.sqrt(2.0)
+    z[..., half + 1 :] = np.conj(z[..., 1:half][..., ::-1])
+    z = np.fft.ifft(z * np.sqrt(lam), axis=-1) * math.sqrt(M)
+    values = np.zeros((len(seeds), m + 1, d))
+    np.cumsum(z.real[..., :m] * grid.spacing**h, axis=-1, out=values[:, 1:].transpose(0, 2, 1))
+    return values
+
+
+@pytest.mark.parametrize(
+    "n, d, streams",
+    [(65, 1, None), (257, 2, None), (2**14 + 1, 2, None), (65, 3, 2), (2**16 + 1, 2, None)],
+    ids=["grouped-d1", "grouped-d2", "seed-per-transform", "components-2+1", "longer-than-budget"],
+)
+def test_circulant_draw_bytes_match_the_formula(monkeypatch, n, d, streams):
+    # the draw builds each stream's vector inside its transform's buffer; its
+    # bytes are the formula's, however the streams are grouped
+    grid = unit_grid(n)
+    if streams is not None:
+        size = fbm._embedding_eigenvalues(0.35, n - 1).size
+        monkeypatch.setattr(fbm, "_GROUP_VALUES", streams * size)
+    seeds = [3, 2**64 - 1, 7040] if n < 2**14 else [3, 2**64 - 1]
+    got = fbm._circulant_values(grid, d, 0.35, seeds)
+    assert got.tobytes() == formula_draw(grid, d, 0.35, seeds).tobytes()
+
+
+def test_embedding_eigenvalues_own_their_data():
+    # a view of the complex FFT output would keep twice the cached bytes alive
+    for h, m in ((0.35, 64), (0.75, 4096)):
+        lam = fbm._embedding_eigenvalues(h, m)
+        assert lam.flags.owndata and lam.base is None
+
+
+def test_circulant_draw_working_set():
+    # at 2^16 steps one transform holds one stream, a complex row of M = 2^17
+    # values; the draw needs the values, sqrt(lambda) and that row, no more
+    import tracemalloc
+
+    grid = unit_grid(2**16 + 1)
+    fbm._circulant_values(grid, 2, 0.6, [0])  # fills the eigenvalue cache
+    M = fbm._embedding_eigenvalues(0.6, 2**16).size
+    tracemalloc.start()
+    try:
+        values = fbm._circulant_values(grid, 2, 0.6, [1, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = values.nbytes + 8 * M + 16 * M + 2**20
+    assert peak < bound, f"peak {peak / 2**20:.2f} MB, bound {bound / 2**20:.2f} MB"
 
 
 def test_circulant_requires_zero_start():
