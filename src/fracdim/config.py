@@ -46,25 +46,21 @@ __all__ = [
 
 #: task -> section key -> default; a key's value must have its default's type
 #: (int, float, or a tuple of ints written comma-separated).  A callable default
-#: depends on the spec and gives a float.  Keys that bound a verdict are its
-#: window; the rest set up the estimator.
+#: depends on the spec and gives a float.  ``slope_tol`` is the one window a
+#: section sets; the rest set up the estimator, and every other pass threshold
+#: is fixed in ``harness`` and printed in its verdict's window.
 TASK_PARAMS: dict[str, dict] = {
     "generate": {},
     "solve": {},
     "dim_image": {"octaves": 4, "slope_tol": 0.15},
     "dim_graph": {"octaves": 4, "slope_tol": 0.15},
     "levelset": {"t_lo": 0.1, "t_hi": lambda spec: float(spec.t_end), "halvings": 4,
-                 "slope_tol": 0.15, "levelset_hit_floor": 0.10, "levelset_min_points": 32},
-    "tail": {"s": 0.0, "t": lambda spec: float(spec.t_end), "halvings": 4, "xi_quantile": 0.9,
-             "tail_r2_floor": 0.9, "tail_delta_r2": 0.02, "tail_rank_corr": 0.8},
-    "density": {"s": 0.125, "t": lambda spec: 0.875 * spec.t_end,
-                "envelope_r2_increment": 0.85, "kde_mode_rel_tol": 0.10},
-    "bivariate": {"s": 0.25, "t": 0.75,
-                  "envelope_r2_bivariate": 0.80, "bivariate_oracle_rel_tol": 0.15},
-    "energy": {"gamma_offset": 0.13, "levels": 4,
-               "energy_stable_growth": 1.07, "energy_grow_last": 1.10, "energy_grow_total": 1.35},
-    "mu": {"delta": 0.2, "sharpness": (4, 16, 64, 256), "t_lo": 0.1,
-           "mu_mass_floor": 0.5, "mu_final_growth": 1.35},
+                 "slope_tol": 0.15},
+    "tail": {"s": 0.0, "t": lambda spec: float(spec.t_end), "halvings": 4, "xi_quantile": 0.9},
+    "density": {"s": 0.125, "t": lambda spec: 0.875 * spec.t_end},
+    "bivariate": {"s": 0.25, "t": 0.75},
+    "energy": {"gamma_offset": 0.13, "levels": 4},
+    "mu": {"delta": 0.2, "sharpness": (4, 16, 64, 256), "t_lo": 0.1},
 }
 
 ALL_TASKS = tuple(TASK_PARAMS)
@@ -91,6 +87,13 @@ def _grid_time(key: str) -> tuple:
         return f"a grid time, a multiple of t_end / n_points (nearest {near[0]!r} and {near[1]!r})"
 
     return (key, on_grid, need)
+
+
+def _tail_window(p, spec) -> tuple[float, float, bool]:
+    """Tail's narrowest window [s, s + w], w = (t - s) / 2^(halvings-1): (w, the grid spacing,
+    whether it keeps two grid points), counted by arithmetic as ``TimeGrid.window`` counts."""
+    w, h = (p["t"] - p["s"]) / 2 ** (p["halvings"] - 1), spec.t_end / spec.n_points
+    return w, h, math.floor((p["s"] + w + 1e-12) / h) > math.ceil((p["s"] - 1e-12) / h)
 
 
 #: the KDE tasks read each member's state at grid times s < t, away from 0
@@ -135,6 +138,9 @@ _TASK_RULES: dict[str, tuple] = {
         ("t", lambda p, spec: p["t"] <= spec.t_end, "t <= t_end"),
         ("halvings", lambda p, spec: p["halvings"] >= 3,
          "at least 3 windows, the fewest the scaling fit reads"),
+        ("halvings", lambda p, spec: _tail_window(p, spec)[2], lambda p, spec:
+         "two grid points in the narrowest window, (t - s) / 2^(halvings-1) = {!r} at spacing {!r}"
+         .format(*_tail_window(p, spec)[:2])),
         ("xi_quantile", lambda p, spec: 0 <= p["xi_quantile"] <= 1, "0 <= xi_quantile <= 1"),
     ),
     "density": _KDE_TIMES,

@@ -335,8 +335,8 @@ def energy_ladder(path: SamplePath, gammas, factors) -> np.ndarray:
     read the +inf sentinel.
     """
     gammas = [float(g) for g in gammas]
-    if min(gammas) < 0:
-        raise ValueError("gamma must be >= 0")
+    if not gammas or not all(0 <= g < math.inf for g in gammas):
+        raise ValueError(f"gammas must hold at least one gamma, each finite and >= 0: {gammas}")
     v = path.values
     n = v.shape[0]
     if any(f < 1 or (n - 1) % f for f in factors):
@@ -406,8 +406,10 @@ def mu_measure(
     double-integral energy of that measure against |t-s|^-gamma with the same
     one-spacing diagonal cut as energy_integral.
     """
-    if n <= 0:
-        raise ValueError("sharpness n must be positive")
+    if not 0 < n < math.inf:
+        raise ValueError(f"sharpness n must be finite and positive, not {n}")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, not {gamma}")
     if restrict[0] <= 0:
         raise ValueError("restriction must start at epsilon > 0")
     sub = path.restrict(*restrict)

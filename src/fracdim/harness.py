@@ -2,11 +2,12 @@
 aggregates, renders verdicts, and persists reports.
 
 Every verdict names the mathematical claim it tests and the window applied.
-Each task reads its parameters and windows as one dict,
-``spec.task_settings(task)``: the config section over the defaults of
-``config.TASK_PARAMS``, which lists every section key; a spec rejects an
-unknown or wrongly typed key, and ``run`` rejects settings a requested task
-cannot use (``spec.check_task``) before any member is solved.
+Each task reads its parameters as one dict, ``spec.task_settings(task)``: the
+config section over the defaults of ``config.TASK_PARAMS``, which lists every
+section key; a spec rejects an unknown or wrongly typed key, and ``run``
+rejects settings a requested task cannot use (``spec.check_task``) before any
+member is solved.  Every pass threshold but ``slope_tol`` is fixed in the task
+that judges by it, and printed in its verdict's window.
 ``_member_map`` runs the members of every task, and aborts once more than
 1% fail (``MEMBER_FAILURE_RATE``, not configurable).
 It sends one contiguous block of members to each of the ``jobs`` workers; a
@@ -283,14 +284,14 @@ def _task_levelset(spec, jobs, out_dir, results, verdicts, rows):
     p = spec.task_settings("levelset")
     restrict = (p["t_lo"], p["t_hi"])
     dh = spec.dim * spec.hurst
-    hit_floor, tol = p["levelset_hit_floor"], p["slope_tol"]
+    hit_floor, min_points, tol = 0.10, 32, p["slope_tol"]
     if dh < 1.0:
         target = 1.0 - dh
         out, failures = _member_map(_levelset_worker, spec, range(spec.ensemble), jobs, restrict)
         slopes = []
         hits = 0
         for k, (times, eta) in out.items():
-            if times.size < p["levelset_min_points"]:
+            if times.size < min_points:
                 continue
             hits += 1
             cloud = dm.PointCloud(times)
@@ -379,7 +380,7 @@ def _task_tail(spec, jobs, out_dir, results, verdicts, rows):
     ladder = [1.6, 1.8, 2.0, 2.2]
     if expected not in ladder:
         ladder = sorted(set(ladder + [expected]))
-    r2_floor, delta_max, rank_floor = p["tail_r2_floor"], p["tail_delta_r2"], p["tail_rank_corr"]
+    r2_floor, delta_max, rank_floor = 0.9, 0.02, 0.8
     halvings = p["halvings"]
     widths = [(interval[1] - interval[0]) / 2**j for j in range(halvings)]
     windows = [spec.grid.window(interval[0], interval[0] + w) for w in widths]
@@ -433,7 +434,7 @@ def _task_density(spec, jobs, out_dir, results, verdicts, rows):
     p = spec.task_settings("density")
     s, t = p["s"], p["t"]
     expected = min(2.0 * spec.hurst + 1.0, 2.0)
-    env_floor, mode_tol = p["envelope_r2_increment"], p["kde_mode_rel_tol"]
+    env_floor, mode_tol = 0.85, 0.10
 
     samples, sd, failures = _states_at(spec, jobs, s, t)
     if spec.dim == 1:
@@ -471,7 +472,7 @@ def _task_bivariate(spec, jobs, out_dir, results, verdicts, rows):
     p = spec.task_settings("bivariate")
     s, t = p["s"], p["t"]
     gamma = 0.9 * spec.hurst
-    env_floor, oracle_tol = p["envelope_r2_bivariate"], p["bivariate_oracle_rel_tol"]
+    env_floor, oracle_tol = 0.80, 0.15
 
     samples, sd, failures = _states_at(spec, jobs, s, t)
     mags = np.linspace(0.0, 3.5 * sd, 8)
@@ -510,8 +511,7 @@ def _task_energy(spec, jobs, out_dir, results, verdicts, rows):
     gammas = (crit - p["gamma_offset"], crit + p["gamma_offset"])
     levels = p["levels"]
     factors = [2 ** (levels - 1 - j) for j in range(levels)]  # coarse to fine
-    stable_cap = p["energy_stable_growth"]
-    grow_last, grow_total = p["energy_grow_last"], p["energy_grow_total"]
+    stable_cap, grow_last, grow_total = 1.07, 1.10, 1.35
     out, failures = _member_map(_energy_worker, spec, range(spec.ensemble), jobs, gammas, factors)
     info = {}
     for i, (label, gamma) in enumerate(zip(("below", "above"), gammas)):
@@ -548,7 +548,7 @@ def _task_mu(spec, jobs, out_dir, results, verdicts, rows):
         return
     sharpness = list(p["sharpness"])
     restrict = (p["t_lo"], spec.t_end)
-    mass_floor, final_cap = p["mu_mass_floor"], p["mu_final_growth"]
+    mass_floor, final_cap = 0.5, 1.35
     out, failures = _member_map(
         _mu_worker, spec, range(spec.ensemble), jobs, gamma, sharpness, restrict
     )

@@ -139,7 +139,7 @@ def test_task_settings_fill_defaults_from_the_spec():
         "name = x\nhurst = 0.5\nt_end = 2.0\n[tail]\nhalvings = 3\n[mu]\nsharpness = 8\n"
     )
     tail = spec.task_settings("tail")
-    assert (tail["s"], tail["t"], tail["halvings"], tail["tail_r2_floor"]) == (0.0, 2.0, 3, 0.9)
+    assert (tail["s"], tail["t"], tail["halvings"]) == (0.0, 2.0, 3)
     assert spec.task_settings("density")["t"] == 0.875 * 2.0
     assert spec.task_settings("levelset")["t_hi"] == 2.0
     assert spec.task_settings("mu")["sharpness"] == (8,)
@@ -161,6 +161,10 @@ def test_task_settings_fill_defaults_from_the_spec():
         ("energy", "gamma_offset", "nan"),
         ("tail", "xi_quantile", "nan"),
         ("dim_graph", "slope_tol", "-inf"),
+        # pass thresholds are fixed in the harness: a config cannot loosen its own verdict
+        ("tail", "tail_r2_floor", "0.5"),
+        ("mu", "mu_mass_floor", "0.1"),
+        ("levelset", "levelset_min_points", "4"),
     ],
 )
 def test_bad_section_key_rejected(task, key, value):
@@ -216,6 +220,26 @@ def test_unusable_task_setting_rejected(task, key, section, top):
     names_both = rf"(?=.*\[{task}\])(?=.*\b{key}\b)"
     text = f"name = x\nhurst = 0.5\n{top}tasks = {task}\n[{task}]\n{section}\n"
     with pytest.raises(ConfigError, match=names_both):
+        parse_spec(text)
+
+
+@pytest.mark.parametrize(
+    "s, halvings, usable",
+    [(0.0, 7, True), (0.0, 8, False), (0.01, 6, True), (0.01, 7, False)],
+)
+def test_tail_narrowest_window_keeps_two_grid_points(s, halvings, usable):
+    # the rule counts by arithmetic what the run's TimeGrid.window keeps
+    text = f"name = x\nhurst = 0.5\nn_points = 64\ntasks = tail\n[tail]\ns = {s}\nhalvings = {halvings}\n"
+    grid = ExperimentSpec(name="x", hurst=0.5, n_points=64).grid
+    width = (1.0 - s) / 2 ** (halvings - 1)
+    if usable:
+        parse_spec(text)
+        window = grid.window(s, s + width)
+        assert window.stop - window.start >= 2
+        return
+    with pytest.raises(ValueError, match="fewer than two grid points"):
+        grid.window(s, s + width)
+    with pytest.raises(ConfigError, match=rf"\[tail\] halvings = {halvings}: .*{width!r}.*0\.015625"):
         parse_spec(text)
 
 

@@ -356,6 +356,12 @@ def test_energy_ladder_rejects_bad_factor_and_gamma():
         dm.energy_ladder(p, [0.5], [3])
     with pytest.raises(ValueError, match="gamma"):
         dm.energy_ladder(p, [-0.5], [1])
+    # a NaN or infinite gamma would give a NaN energy, and no gamma no energy at all
+    for gammas in ([math.nan], [0.5, math.inf], [-math.inf], []):
+        with pytest.raises(ValueError, match="gamma"):
+            dm.energy_ladder(p, gammas, [1])
+    with pytest.raises(ValueError, match="gamma"):
+        dm.energy_integral(p, math.nan, (0.0, 1.0))
 
 
 # ----------------------------------------------------------------- mu measure
@@ -416,6 +422,16 @@ def test_mu_requires_positive_epsilon():
     p = fbm.generate_circulant(TimeGrid(65, 0.0, 1.0), 1, 0.5, seed=8)
     with pytest.raises(ValueError):
         dm.mu_measure(p, np.zeros(1), 4.0, 0.4, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("n, gamma, name", [(math.nan, 0.4, "sharpness"), (math.inf, 0.4, "sharpness"),
+                                            (0.0, 0.4, "sharpness"), (4.0, math.nan, "gamma"),
+                                            (4.0, math.inf, "gamma")])
+def test_mu_rejects_non_finite_sharpness_and_gamma(n, gamma, name):
+    # each would return a NaN mass or energy
+    p = fbm.generate_circulant(TimeGrid(65, 0.0, 1.0), 1, 0.5, seed=8)
+    with pytest.raises(ValueError, match=name):
+        dm.mu_measure(p, np.zeros(1), n, gamma, (0.25, 1.0))
 
 
 # ------------------------------------------------------------------- plumbing

@@ -149,6 +149,27 @@ def test_jobs_do_not_change_results(tmp_path, case):
         assert len(files) == spec.ensemble * (len(spec.fields) if task == "solve" else 1)
 
 
+# each judged task's windows, in verdict order: the pass thresholds are fixed in
+# the harness, and slope_tol is at its default
+WINDOWS = {
+    "levelset_d1": ["[0.3500, 0.6500]", ">= 0.1"],
+    "tail": ["R2 >= 0.9 and dR2 >= -0.02", "rank corr >= 0.8, at most one monotonicity inversion"],
+    "density": ["slope < 0 and R2 >= 0.85", "relative error <= 0.1"],
+    "bivariate": ["slope < 0 and R2 >= 0.8", "<= 0.15"],
+    "energy": ["growth factors non-increasing (0.01 slack), last <= 1.07",
+               "last growth >= 1.1, total >= 1.35"],
+    "mu": [">= 0.5 at every sharpness", "growth factors decreasing, final <= 1.35",
+           "growth factors decreasing, final <= 1.35"],
+}
+
+
+@pytest.mark.parametrize("case", list(WINDOWS))
+def test_verdict_windows_print_the_fixed_thresholds(tmp_path, case):
+    task, overrides = MEMBER_TASKS[case]
+    report = run(small_spec(tmp_path, **overrides), tasks=(task,))
+    assert [v.window for v in report.verdicts] == WINDOWS[case]
+
+
 def test_run_requires_known_tasks(tmp_path):
     spec = small_spec(tmp_path)
     with pytest.raises(ConfigError, match="unknown task 'warp'"):
