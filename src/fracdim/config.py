@@ -10,7 +10,7 @@ repeated keys with distinct messages.  Every grid runs from 0, where each
 solution starts, to ``t_end``.  The sampler and the solver scheme are not keys:
 drivers are drawn by the circulant sampler, and the scheme is the one the Hurst
 index needs.  ``solve_block`` is the one way a task gets its members: drawn and
-solved a chunk of ``_BLOCK_STATES`` member-steps at a time.
+solved by the solver's one core, a chunk of ``_BLOCK_STATES`` member-steps at a time.
 """
 from __future__ import annotations
 
@@ -28,7 +28,8 @@ from .fbm import generate_cholesky, generate_circulant  # noqa: F401  bound for 
 from .fields import VectorFieldSet, resolve_fields
 from .roughpath import LinearLift
 from .roughpath import lift_path  # noqa: F401  bound for the benchmark's tracer (bench/spans.py)
-from .solver import SolverScheme, _constant_field_path, scheme_for, solve
+from .solver import SolverScheme, _solve_states, scheme_for
+from .solver import solve  # noqa: F401  bound for the benchmark's tracer (bench/spans.py)
 
 __all__ = [
     "ALL_TASKS",
@@ -378,23 +379,17 @@ def _solve_chunk(
 ) -> tuple[list[int], np.ndarray, dict]:
     """One chunk's (surviving indices, their (k, n_points, d) states, {index: exception})."""
     drawn, paths, failed = _draw_chunk(spec, chunk)
-    starts = np.zeros((len(drawn), fs.dim_state))
-    if drawn and fs.constant:
-        # the exact path, stacked; the lift's cumulative sums would round differently
-        paths = _constant_field_path(fs, starts, paths)
-    elif drawn:
-        # the driver reads the draws: the time loop forms each segment's levels
-        # from their increments, so no lift of the chunk is stored; the solve
-        # writes into one states array, and the survivors are its rows
-        scheme = SolverScheme(spec.scheme)
-        states = np.empty((len(drawn), spec.grid.n_points, fs.dim_state))
-        sols = solve(fs, starts, LinearLift(spec.grid, paths, scheme.depth, HurstParam(spec.hurst)),
-                     scheme, out=states)
-        failed.update((i, sol) for i, sol in zip(drawn, sols) if isinstance(sol, Exception))
-        kept = [j for j, sol in enumerate(sols) if not isinstance(sol, Exception)]
-        paths = states if len(kept) == len(drawn) else states[kept]
-        drawn = [drawn[j] for j in kept]
-    return drawn, paths, failed
+    if not drawn:
+        return drawn, paths, failed
+    # the driver reads the draws: no lift of the chunk is stored
+    depth = SolverScheme(spec.scheme).depth
+    driver = LinearLift(spec.grid, paths, depth, HurstParam(spec.hurst))
+    states, bad = _solve_states(fs, np.zeros((len(drawn), fs.dim_state)), driver, depth)
+    if bad:
+        failed.update((drawn[j], exc) for j, exc in bad.items())
+        kept = [j for j in range(len(drawn)) if j not in bad]
+        states, drawn = states[kept], [drawn[j] for j in kept]
+    return drawn, states, failed
 
 
 def solve_block(
@@ -406,10 +401,9 @@ def solve_block(
     triple per chunk: the surviving indices, their states as one
     (k, n_points, d) array, and {index: exception} for the members that failed
     alone.  A chunk is up to ``_BLOCK_STATES`` member-steps: one driver draw,
-    then one solve in one time loop, which forms the lift's levels from the
-    draw's increments a segment at a time (``LinearLift``), or for constant
-    field sets (identity) one stacked exact path.  Each member's states are
-    bit-identical to its solve alone, and to the solve of its stored lift.
+    then one solve of the draw's ``LinearLift`` through ``solver``'s one core,
+    the guard included.  Each member's states are bit-identical to its solve
+    alone; on a set that is not constant, also to the solve of its stored lift.
     """
     fs = resolve_fields(fields_name or spec.fields[0], spec.dim)
     indices = list(indices)

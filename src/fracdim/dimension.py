@@ -18,6 +18,7 @@ Toeplitz form of its |t-s| kernel on a uniform grid).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,8 +340,8 @@ def energy_ladder(path: SamplePath, gammas, factors) -> np.ndarray:
         raise ValueError(f"gammas must hold at least one gamma, each finite and >= 0: {gammas}")
     v = path.values
     n = v.shape[0]
-    if any(f < 1 or (n - 1) % f for f in factors):
-        raise ValueError("factor must divide the number of grid intervals")
+    if not all(isinstance(f, numbers.Integral) and f >= 1 and (n - 1) % f == 0 for f in factors):
+        raise ValueError(f"factors must be integers that divide the {n - 1} grid intervals: {factors}")
     c = _trapezoid_weights(n, 1.0)  # c[::f] weights decimate(f) in units of its spacing
     sums = np.zeros((len(gammas), len(factors)))
     a = 0

@@ -107,6 +107,8 @@ class TimeGrid:
 
     def window(self, t_lo: float, t_hi: float) -> slice:
         """Index slice of the grid points inside [t_lo, t_hi], each end widened by 1e-12."""
+        if math.isnan(t_lo) or math.isnan(t_hi):
+            raise ValueError(f"a window end is NaN: [{t_lo}, {t_hi}]")
         pts = self.points
         idx = np.nonzero((pts >= t_lo - 1e-12) & (pts <= t_hi + 1e-12))[0]
         if idx.size < 2:

@@ -12,9 +12,9 @@ that judges by it, and printed in its verdict's window.
 1% fail (``MEMBER_FAILURE_RATE``, not configurable).
 It sends one contiguous block of members to each of the ``jobs`` workers; a
 block is drawn and solved a chunk at a time (``config.solve_block``: one
-driver draw, then one time loop, or one stacked exact path for constant
-fields), and each chunk's states go to the task's worker as one
-(members, n_points, d) array.  Every task takes its members this way;
+driver draw, then one solve through ``solver``'s one core, whose guard fails
+a member alone), and each chunk's surviving states go to the task's worker
+as one (members, n_points, d) array.  Every task takes its members this way;
 ``generate`` writes the ``identity`` solution from 0, which is the driver bit
 for bit.  Tail, density and bivariate reduce or slice the array; the other
 workers read it row by row.  Member seeds are base_seed + index, and a

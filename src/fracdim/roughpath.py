@@ -120,6 +120,11 @@ class SignaturePath:
         stacked = self.levels if self.members is not None else [lv[None] for lv in self.levels]
         return [np.ascontiguousarray(lv[:, a:b].swapaxes(0, 1)) for lv in stacked[:depth]]
 
+    def path(self) -> np.ndarray:
+        """The paths from 0, (members, n_points, dim): the running sums of level 1."""
+        inc = self.levels[0] if self.members is not None else self.levels[0][None]
+        return np.concatenate([np.zeros_like(inc[:, :1]), np.cumsum(inc, axis=1)], axis=1)
+
 
 @dataclass(frozen=True)
 class LinearLift:
@@ -129,7 +134,7 @@ class LinearLift:
     Nothing beyond the values is stored: ``read`` forms an interval's levels
     when they are needed, with ``lift_path``'s products, so they equal the
     stored lift's byte for byte.  The depth is checked against the Hurst
-    index as ``lift_path`` checks it.
+    index as ``lift_path`` checks it; a non-finite value is left to the solver's guard.
     """
 
     grid: TimeGrid
@@ -142,8 +147,6 @@ class LinearLift:
         v = self.values
         if v.ndim != 3 or v.shape[1] != self.grid.n_points:
             raise ValueError(f"values must be (members, {self.grid.n_points}, dim), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("path values must be finite")
 
     @property
     def dim(self) -> int:
@@ -166,6 +169,10 @@ class LinearLift:
         np.subtract(self.values[:, a + 1:b + 1], self.values[:, a:b], out=inc.swapaxes(0, 1))
         return [lv.reshape(inc.shape + lv.shape[2:])
                 for lv in _linear_levels(inc.reshape(-1, self.dim), depth)]
+
+    def path(self) -> np.ndarray:
+        """The paths, (members, n_points, dim): the values themselves, not a copy."""
+        return self.values
 
 
 def segment_signature(increment: np.ndarray, depth: int) -> TruncatedTensor:

@@ -3,6 +3,7 @@
 Two Taylor-type increment schemes consume the signature lift: a step-2 update
 (level-1 and level-2 contractions) valid for H > 1/3 and a step-3 update that
 adds level-3 contractions with second derivatives for 1/4 < H <= 1/3.
+``_solve_states``, the one core, also takes constant sets' exact path and guards every member.
 """
 from __future__ import annotations
 
@@ -104,25 +105,24 @@ def _validate_shapes(fields: VectorFieldSet, x0: np.ndarray) -> None:
 
 
 def _constant_field_path(fields: VectorFieldSet, x0: np.ndarray, path: np.ndarray) -> np.ndarray:
-    """Exact solution for state-independent fields without a drift: x0 + path V^T.
+    """Exact solution for state-independent fields without a drift: x0 + (path - path_0) V^T.
 
-    ``x0`` of shape (..., n) takes ``path`` of shape (..., n_points, d).
+    ``x0`` (..., n) takes ``path`` (..., n_points, d); a path from 0 adds no rounding to x0 + path V^T.
     """
     out = path @ fields.v(x0).swapaxes(-1, -2)
-    out += x0[..., None, :]
+    out += x0[..., None, :] - out[..., :1, :]
     return out
 
 
 def _steps(
     fields: VectorFieldSet, x0: np.ndarray, driver: SignaturePath | LinearLift, depth: int,
-    dt: float, out: np.ndarray | None = None,
+    dt: float,
 ) -> np.ndarray:
     """States (members, n_steps + 1, n) of the members, advanced together in one time loop.
 
-    They are written into ``out`` if given.  Every other buffer is allocated
-    here, once per solve: the features, the flat
-    jet with its V, DV and D²V views, one output per contraction, and the
-    time-major states of one segment.  The driver's first ``depth`` levels
+    Every buffer is allocated here, once per solve: the states, the features,
+    the flat jet with its V, DV and D²V views, one output per contraction,
+    and the time-major states of one segment.  The driver's first ``depth`` levels
     are read a segment of up to ``_BLOCK_ENTRIES // (members d^depth)`` steps
     at a time, time-major (``read``: a stored lift's are copied out, a
     ``LinearLift``'s are formed from its increments), so the loop holds no
@@ -135,7 +135,7 @@ def _steps(
     contraction is a batched product over the members' own small matrices,
     so a member's states do not depend on the block it is solved in.  A
     member whose state passes the overflow guard goes on, possibly as inf
-    or NaN; ``solve`` finds its step afterwards.
+    or NaN; ``_solve_states`` finds its step afterwards.
     """
     m, n, d = x0.shape[0], fields.dim_state, driver.dim
     n_steps = driver.n_intervals
@@ -159,8 +159,7 @@ def _steps(
         inner_col = inner.reshape(m, n * d, 1)
         u = np.empty((m, n, n, d))
         u_col = u.reshape(m, n * n * d, 1)
-    if out is None:
-        out = np.empty((m, n_steps + 1, n))
+    out = np.empty((m, n_steps + 1, n))
     out[:, 0] = x0
     x = np.array(x0)
     half_dt2 = 0.5 * dt * dt
@@ -195,12 +194,33 @@ def _steps(
     return out
 
 
+def _solve_states(
+    fields: VectorFieldSet, starts: np.ndarray, driver: SignaturePath | LinearLift, depth: int
+) -> tuple[np.ndarray, dict[int, SolverError]]:
+    """The states (members, n_points, n) of ``starts`` and the guard's {row: SolverError}.
+
+    A constant set takes the exact path of ``driver.path()``, any other
+    ``_steps``.  A member fails at its first step past the guard or NaN.
+    """
+    if fields.constant:
+        # state-independent fields: derivative contractions vanish identically
+        states = _constant_field_path(fields, starts, driver.path())
+    else:
+        states = _steps(fields, starts, driver, depth, driver.grid.spacing)
+    # a block of members at a time, so the temporaries stay near _BLOCK_ENTRIES
+    failed, size = {}, max(1, _BLOCK_ENTRIES // states[0].size)
+    for a in range(0, len(states), size):
+        bad = ~(np.abs(states[a:a + size, 1:]) <= OVERFLOW_GUARD).all(axis=2)
+        for j in np.flatnonzero(bad.any(axis=1)):
+            failed[a + int(j)] = SolverError(f"state overflow at step {int(np.argmax(bad[j])) + 1}")
+    return states, failed
+
+
 def solve(
     fields: VectorFieldSet,
     x0: np.ndarray,
     driver: SignaturePath | LinearLift,
     scheme: SolverScheme,
-    out: np.ndarray | None = None,
 ) -> SamplePath | list[SamplePath | SolverError]:
     """One state per grid point of the driver.
 
@@ -210,20 +230,19 @@ def solve(
     solve allocates once, plus the drift Taylor pair V0 dt and DV0 V0 dt^2/2
     when the set has a drift; step-3 adds level-3 contractions with second
     derivatives.  A set with no features and no drift (``fields.constant``)
-    takes the exact path x0 + B V^T instead.
+    takes the exact path x0 + (B - B_0) V^T instead, B a ``LinearLift``'s
+    values or a stored lift's summed increments.
     Deterministic given its inputs; raises SolverError with the step index if
     the state passes the overflow guard or turns NaN.
 
     The driver is a stored lift (``lift_path``, ``coarsen``) or a
     ``LinearLift``, which holds only the path and forms its levels a segment
-    at a time; the two give the same states, byte for byte.  A stacked
-    driver (``driver.members`` paths) takes starts ``x0`` of shape (members,
-    n) and is solved in one time loop.  It returns one entry per
-    member: its solution, or the SolverError that names the step where its
-    state failed the guard.  Member j's solution equals the solve of member j
-    alone, bit for bit.  ``out``, a float array of shape (members, n_points,
-    n) (members 1 for one path), receives the states, and each solution's
-    values are a row of it.
+    at a time; the two give the same states, byte for byte, except at
+    rounding on a constant set.  A stacked driver (``driver.members`` paths)
+    takes starts ``x0`` of shape (members, n) and is solved in one time loop.
+    It returns one entry per member: its solution, or the SolverError that
+    names the step where its state failed the guard.  Member j's solution
+    equals the solve of member j alone, bit for bit.
     """
     x0 = np.asarray(x0, dtype=float)
     if driver.dim != fields.dim_noise:
@@ -238,30 +257,9 @@ def solve(
     stacked = driver.members is not None
     if x0.shape[:-1] != ((driver.members,) if stacked else ()):
         raise ValueError("x0 needs one start per member of the driver")
-    starts = x0 if stacked else x0[None]
-
-    grid = driver.grid
-    shape = (len(starts), grid.n_points, fields.dim_state)
-    if out is not None and (out.dtype != float or out.shape != shape):
-        raise ValueError(f"out must be a float array of shape {shape}")
-    if fields.constant:
-        # state-independent fields: derivative contractions vanish identically
-        inc = driver.read(0, driver.n_intervals, 1)[0]
-        path = np.zeros((len(starts), grid.n_points, driver.dim))
-        np.cumsum(inc.swapaxes(0, 1), axis=1, out=path[:, 1:])
-        states = _constant_field_path(fields, starts, path)
-        if out is not None:
-            out[...] = states
-            states = out
-    else:
-        states = _steps(fields, starts, driver, scheme.depth, grid.spacing, out)
-    # the guard, also against NaN: a member fails at its first bad step;
-    # one member at a time, so its temporaries are one member's size
-    bad = [~(np.abs(values[1:]) <= OVERFLOW_GUARD).all(axis=1) for values in states]
-    out = [SolverError(f"state overflow at step {int(np.argmax(row)) + 1}") if row.any()
-           else SamplePath(grid, values, hurst=driver.hurst) for values, row in zip(states, bad)]
-    if stacked:
-        return out
-    if isinstance(out[0], SolverError):
-        raise out[0]
-    return out[0]
+    states, failed = _solve_states(fields, x0 if stacked else x0[None], driver, scheme.depth)
+    if not stacked and failed:
+        raise failed[0]
+    out = [failed[j] if j in failed else SamplePath(driver.grid, values, hurst=driver.hurst)
+           for j, values in enumerate(states)]
+    return out if stacked else out[0]

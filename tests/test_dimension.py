@@ -354,6 +354,11 @@ def test_energy_ladder_rejects_bad_factor_and_gamma():
     p = fbm.generate_circulant(TimeGrid(17, 0.0, 1.0), 1, 0.6, seed=12)
     with pytest.raises(ValueError, match="divide"):
         dm.energy_ladder(p, [0.5], [3])
+    # a factor that is not an integer would fail in the strided slices
+    for factors in ([0.5], [2.0], [1, 4.0], [0], [-2]):
+        with pytest.raises(ValueError, match="factors must be integers"):
+            dm.energy_ladder(p, [0.5], factors)
+    assert dm.energy_ladder(p, [0.5], [np.int64(2)]).shape == (1, 1)
     with pytest.raises(ValueError, match="gamma"):
         dm.energy_ladder(p, [-0.5], [1])
     # a NaN or infinite gamma would give a NaN energy, and no gamma no energy at all
@@ -432,6 +437,13 @@ def test_mu_rejects_non_finite_sharpness_and_gamma(n, gamma, name):
     p = fbm.generate_circulant(TimeGrid(65, 0.0, 1.0), 1, 0.5, seed=8)
     with pytest.raises(ValueError, match=name):
         dm.mu_measure(p, np.zeros(1), n, gamma, (0.25, 1.0))
+
+
+@pytest.mark.parametrize("restrict", [(0.1, math.nan), (math.nan, 1.0)])
+def test_mu_rejects_a_nan_window_end(restrict):
+    p = fbm.generate_circulant(TimeGrid(65, 0.0, 1.0), 1, 0.5, seed=8)
+    with pytest.raises(ValueError, match="window end is NaN"):
+        dm.mu_measure(p, np.zeros(1), 4.0, 0.4, restrict)
 
 
 # ------------------------------------------------------------------- plumbing

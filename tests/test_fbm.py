@@ -442,6 +442,15 @@ def test_window_keeps_the_points_restrict_kept(grid, t_lo, t_hi):
     assert sub.seed == 3
 
 
+@pytest.mark.parametrize("t_lo, t_hi", [(np.nan, 1.0), (0.25, np.nan), (np.nan, np.nan)])
+def test_window_rejects_a_nan_end(t_lo, t_hi):
+    # every comparison with NaN is false, so the mask alone would read it as an empty window
+    path = fbm.generate_circulant(unit_grid(9), 1, 0.5, seed=0)
+    for keep in (lambda: path.grid.window(t_lo, t_hi), lambda: path.restrict(t_lo, t_hi)):
+        with pytest.raises(ValueError, match="window end is NaN"):
+            keep()
+
+
 def test_time_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(1, 0.0, 1.0)

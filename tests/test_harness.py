@@ -520,6 +520,64 @@ def test_member_failing_the_guard_in_its_block_fails_alone(tmp_path, monkeypatch
         assert written.values.tobytes() == config.solve_member(spec, k).values.tobytes()
 
 
+def _without_failures(results):
+    if isinstance(results, dict):
+        return {k: _without_failures(v) for k, v in results.items() if k != "failures"}
+    return results
+
+
+def _outputs(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.suffix in (".csv", ".frd")}
+
+
+@pytest.mark.parametrize("injection", ["jump", "nan"])
+@pytest.mark.parametrize(
+    "task, fields, overrides",
+    [("solve", "identity", dict(n_points=64, ensemble=100)),
+     ("tail", "identity", dict(n_points=64, ensemble=1001)),
+     ("density", "identity", dict(n_points=64, ensemble=10_000)),
+     ("energy", "identity", dict(n_points=64, ensemble=100)),
+     ("dim_image", "identity", dict(n_points=256, ensemble=100)),
+     ("solve", "elliptic_sin_2d", dict(hurst=0.75, dim=2, n_points=64, ensemble=100))],
+    ids=["solve", "tail", "density", "energy", "dim_image", "solve-elliptic"],
+)
+def test_every_field_set_fails_a_guarded_member_alone(tmp_path, monkeypatch, task, fields,
+                                                      overrides, injection):
+    # member 1's driver jumps by 1e13 from step 40, or is NaN at step 40, so its
+    # state leaves the guard there; the other members' outputs are those of a
+    # run where member 1 fails its draw instead
+    from fracdim import config
+
+    real = config.generate_driver
+
+    def inject(spec, indices):
+        drivers = real(spec, indices)
+        if 1 in indices:
+            row = drivers[list(indices).index(1)]
+            if injection == "jump":
+                row[40:] += 1e13
+            else:
+                row[40] = np.nan
+        return drivers
+
+    def draw_fails(spec, indices):
+        if 1 in indices:
+            raise ValueError("boom")
+        return real(spec, indices)
+
+    spec = small_spec(tmp_path, base_seed=500, fields=(fields,), **overrides)
+    reports, outputs = {}, {}
+    for name, driver in (("guard", inject), ("draw", draw_fails)):
+        monkeypatch.setattr(config, "generate_driver", driver)
+        reports[name] = run(spec, tasks=(task,), jobs=1).results
+        outputs[name] = _outputs(tmp_path)
+    maps = list(_failure_maps(reports["guard"]))
+    assert maps and all(m == {501: "SolverError: state overflow at step 40"} for m in maps)
+    assert all(m == {501: "ValueError: boom"} for m in _failure_maps(reports["draw"]))
+    assert _without_failures(reports["guard"]) == _without_failures(reports["draw"])
+    assert outputs["guard"] and outputs["guard"] == outputs["draw"]
+
+
 def _count_solves(monkeypatch, failing=()):
     """Count the driver draws of every solve per member; a draw holding a member
     in ``failing`` raises (a failed chunk is then drawn again member by member)."""

@@ -586,26 +586,23 @@ def test_linear_lift_keeps_the_depth_check():
                      rp.LinearLift(path.grid, path.values[None], 2), SolverScheme("step3"))
 
 
-@pytest.mark.parametrize("name", ["elliptic_sin_2d", "identity"])
-def test_solve_writes_its_states_into_out(name):
-    # the run path keeps the survivors' rows of the array it hands in, so the
-    # solutions must be its rows, a failed member's row included in place
-    paths = np.array([p.values for p in fbm.generate_circulant(TimeGrid(65, 0.0, 1.0), 2, 0.75,
-                                                               seed=range(3))])
-    paths[1, 40:] += 1e13  # member 1 passes the overflow guard at step 40
-    driver = rp.LinearLift(TimeGrid(65, 0.0, 1.0), paths, 2)
-    fs, scheme, starts = fields.resolve_fields(name, 2), SolverScheme("step2_davie"), np.zeros((3, 2))
-    want = solver.solve(fs, starts, driver, scheme)
-    out = np.full((3, 65, 2), np.nan)
-    got = solver.solve(fs, starts, driver, scheme, out=out)
-    assert isinstance(want[1], solver.SolverError) and isinstance(got[1], solver.SolverError)
-    for j in (0, 2):
-        assert np.shares_memory(got[j].values, out[j])
-        assert out[j].tobytes() == got[j].values.tobytes() == want[j].values.tobytes()
-    assert np.isfinite(out[1, :40]).all()
-    for bad in (np.empty((2, 65, 2)), np.empty((3, 65, 2), dtype=np.float32)):
-        with pytest.raises(ValueError, match="out must be a float array of shape"):
-            solver.solve(fs, starts, driver, scheme, out=bad)
+@pytest.mark.parametrize("shift", [0.0, 3.25, -1e3])
+def test_linear_lift_away_from_zero_is_solved_from_its_start(shift):
+    # a constant set reads a LinearLift's own values; paths that start away
+    # from 0 are solved as x0 + (X - X_0) V^T, as the lift of their increments
+    v = np.array([[1.0, 0.5], [-0.25, 2.0]])
+    fs, scheme, grid = constant_set(v), SolverScheme("step2_davie"), TimeGrid(65, 0.0, 1.0)
+    paths = np.array([p.values for p in fbm.generate_circulant(grid, 2, 0.75, seed=range(3))])
+    paths += shift * np.arange(1.0, 4.0)[:, None, None]  # a different start per member
+    starts = np.linspace(-1.0, 1.0, 6).reshape(3, 2)
+    sols = solver.solve(fs, starts, rp.LinearLift(grid, paths, 2), scheme)
+    stored = solver.solve(fs, starts, rp.lift_path([SamplePath(grid, p) for p in paths], 2), scheme)
+    tol = 1e-12 * (1.0 + 3.0 * abs(shift))
+    for sol, alone, path, x0 in zip(sols, stored, paths, starts):
+        want = x0 + (path - path[0]) @ v.T
+        np.testing.assert_allclose(sol.values, want, rtol=0, atol=tol)
+        np.testing.assert_allclose(alone.values, want, rtol=0, atol=tol)
+        np.testing.assert_allclose(sol.values[0], x0, rtol=0, atol=tol)
 
 
 # ------------------------------------------------------------------- catalog
