@@ -4,12 +4,13 @@ Configs are flat ``key = value`` text with one optional ``[task]`` section per
 estimator carrying its parameters.  ``TASK_PARAMS`` is the one table of every
 section key, with its type and default; a spec rejects an unknown or wrongly
 typed section key, however it was built, and rejects settings that one of
-its tasks cannot use (``_TASK_RULES``), an empty ``fields`` or a name listed
-twice in ``fields`` or ``tasks``.  Parsing fills defaults and rejects unknown or
-repeated keys with distinct messages.  Every grid runs from 0, where each
-solution starts, to ``t_end``.  The sampler and the solver scheme are not keys:
-drivers are drawn by the circulant sampler, and the scheme is the one the Hurst
-index needs.  ``solve_block`` is the one way a task gets its members: drawn and
+its tasks cannot use (``_TASK_RULES``), an empty ``fields``, more than one field
+set for a task that solves one, or a name listed twice in ``fields`` or
+``tasks``.  Parsing fills defaults and rejects unknown or repeated keys with
+distinct messages.  Every grid runs from 0, where each solution starts, to 1,
+the paper's horizon.  The sampler and the solver scheme are not keys: drivers
+are drawn by the circulant sampler, and the scheme is the one the Hurst index
+needs.  ``solve_block`` is the one way a task gets its members: drawn and
 solved by the solver's one core, a chunk of ``_BLOCK_STATES`` member-steps at a time.
 """
 from __future__ import annotations
@@ -46,19 +47,17 @@ __all__ = [
 
 
 #: task -> section key -> default; a key's value must have its default's type
-#: (int, float, or a tuple of ints written comma-separated).  A callable default
-#: depends on the spec and gives a float.  ``slope_tol`` is the one window a
-#: section sets; the rest set up the estimator, and every other pass threshold
-#: is fixed in ``harness`` and printed in its verdict's window.
+#: (int, float, or a tuple of ints written comma-separated).  ``slope_tol`` is
+#: the one window a section sets; the rest set up the estimator, and every other
+#: pass threshold is fixed in ``harness`` and printed in its verdict's window.
 TASK_PARAMS: dict[str, dict] = {
     "generate": {},
     "solve": {},
     "dim_image": {"octaves": 4, "slope_tol": 0.15},
     "dim_graph": {"octaves": 4, "slope_tol": 0.15},
-    "levelset": {"t_lo": 0.1, "t_hi": lambda spec: float(spec.t_end), "halvings": 4,
-                 "slope_tol": 0.15},
-    "tail": {"s": 0.0, "t": lambda spec: float(spec.t_end), "halvings": 4, "xi_quantile": 0.9},
-    "density": {"s": 0.125, "t": lambda spec: 0.875 * spec.t_end},
+    "levelset": {"t_lo": 0.1, "t_hi": 1.0, "halvings": 4, "slope_tol": 0.15},
+    "tail": {"s": 0.0, "t": 1.0, "halvings": 4, "xi_quantile": 0.9},
+    "density": {"s": 0.125, "t": 0.875},
     "bivariate": {"s": 0.25, "t": 0.75},
     "energy": {"gamma_offset": 0.13, "levels": 4},
     "mu": {"delta": 0.2, "sharpness": (4, 16, 64, 256), "t_lo": 0.1},
@@ -79,13 +78,13 @@ def _increasing_positive(values) -> bool:
 def _grid_time(key: str) -> tuple:
     """The rule that setting ``key`` is a time of the spec's grid; its need names the nearest two."""
     def on_grid(p, spec):
-        k = p[key] * spec.n_points / spec.t_end
+        k = p[key] * spec.n_points
         return abs(k - round(k)) <= 1e-9
 
     def need(p, spec):
-        k = math.floor(p[key] * spec.n_points / spec.t_end)
-        near = (k * spec.t_end / spec.n_points, (k + 1) * spec.t_end / spec.n_points)
-        return f"a grid time, a multiple of t_end / n_points (nearest {near[0]!r} and {near[1]!r})"
+        k = math.floor(p[key] * spec.n_points)
+        near = (k / spec.n_points, (k + 1) / spec.n_points)
+        return f"a grid time, a multiple of 1 / n_points (nearest {near[0]!r} and {near[1]!r})"
 
     return (key, on_grid, need)
 
@@ -93,14 +92,14 @@ def _grid_time(key: str) -> tuple:
 def _tail_window(p, spec) -> tuple[float, float, bool]:
     """Tail's narrowest window [s, s + w], w = (t - s) / 2^(halvings-1): (w, the grid spacing,
     whether it keeps two grid points), counted by arithmetic as ``TimeGrid.window`` counts."""
-    w, h = (p["t"] - p["s"]) / 2 ** (p["halvings"] - 1), spec.t_end / spec.n_points
+    w, h = (p["t"] - p["s"]) / 2 ** (p["halvings"] - 1), 1 / spec.n_points
     return w, h, math.floor((p["s"] + w + 1e-12) / h) > math.ceil((p["s"] - 1e-12) / h)
 
 
 #: the KDE tasks read each member's state at grid times s < t, away from 0
 _KDE_TIMES = (
     ("s", lambda p, spec: 0.1 <= p["s"] < p["t"], "0.1 <= s < t"),
-    ("t", lambda p, spec: p["t"] <= spec.t_end, "t <= t_end"),
+    ("t", lambda p, spec: p["t"] <= 1, "t <= 1"),
     _grid_time("s"),
     _grid_time("t"),
 )
@@ -126,17 +125,17 @@ _TASK_RULES: dict[str, tuple] = {
     "mu": (
         ("sharpness", lambda p, spec: _increasing_positive(p["sharpness"]),
          "at least 2 strictly increasing positive values"),
-        ("t_lo", lambda p, spec: 0 < p["t_lo"] < spec.t_end, "0 < t_lo < t_end"),
+        ("t_lo", lambda p, spec: 0 < p["t_lo"] < 1, "0 < t_lo < 1"),
     ),
-    # the windows read each member on [t_lo, t_end], [t_lo, t_hi] and [s, t], inside the grid
+    # the windows read each member on [t_lo, 1], [t_lo, t_hi] and [s, t], inside the grid
     "levelset": (
         ("t_lo", lambda p, spec: 0 <= p["t_lo"] < p["t_hi"], "0 <= t_lo < t_hi"),
-        ("t_hi", lambda p, spec: p["t_hi"] <= spec.t_end, "t_hi <= t_end"),
+        ("t_hi", lambda p, spec: p["t_hi"] <= 1, "t_hi <= 1"),
         ("halvings", lambda p, spec: p["halvings"] >= 2, "at least 2 tube widths to compare"),
     ),
     "tail": (
         ("s", lambda p, spec: 0 <= p["s"] < p["t"], "0 <= s < t"),
-        ("t", lambda p, spec: p["t"] <= spec.t_end, "t <= t_end"),
+        ("t", lambda p, spec: p["t"] <= 1, "t <= 1"),
         ("halvings", lambda p, spec: p["halvings"] >= 3,
          "at least 3 windows, the fewest the scaling fit reads"),
         ("halvings", lambda p, spec: _tail_window(p, spec)[2], lambda p, spec:
@@ -173,7 +172,7 @@ def _names(raw: str) -> tuple[str, ...]:
 
 #: top-level key -> converter from its text
 _TOP_LEVEL = {
-    "name": str, "hurst": float, "dim": int, "n_points": int, "t_end": float,
+    "name": str, "hurst": float, "dim": int, "n_points": int,
     "fields": _names, "ensemble": int, "base_seed": int, "output_dir": str, "tasks": _names,
 }
 
@@ -201,7 +200,7 @@ def _check_tasks(tasks: Sequence[str]) -> None:
 class ExperimentSpec:
     """Full declarative description of one run.
 
-    The grid has ``n_points`` steps from 0 to ``t_end``, and every member's
+    The grid has ``n_points`` steps from 0 to 1, and every member's
     solution starts at 0 at time 0.  ``scheme`` is derived, not set:
     ``step2_davie`` for H > 1/3, else ``step3``.
     """
@@ -210,7 +209,6 @@ class ExperimentSpec:
     hurst: float
     dim: int = 1
     n_points: int = 4096
-    t_end: float = 1.0
     fields: tuple[str, ...] = ("identity",)
     scheme: str = field(init=False)
     ensemble: int = 1
@@ -231,8 +229,6 @@ class ExperimentSpec:
             raise ConfigError("dim must be >= 1")
         if self.n_points < 2 or self.n_points & (self.n_points - 1):
             raise ConfigError("n_points must be a power of two")
-        if not 0 < self.t_end < float("inf"):
-            raise ConfigError("t_end must be a positive finite number")
         if self.ensemble < 1:
             raise ConfigError("ensemble must be >= 1")
         if self.base_seed < 0 or self.base_seed + self.ensemble - 1 >= 2**64:
@@ -254,7 +250,7 @@ class ExperimentSpec:
     @property
     def grid(self) -> TimeGrid:
         # n_points counts sampling steps; the grid adds the pinned origin
-        return TimeGrid(self.n_points + 1, 0.0, self.t_end)
+        return TimeGrid(self.n_points + 1)
 
     def task_settings(self, task: str) -> dict:
         """Every parameter and window of the task: the section over the table's defaults."""
@@ -265,19 +261,21 @@ class ExperimentSpec:
         if unknown:
             known = ", ".join(TASK_PARAMS[task]) or "none"
             raise ConfigError(f"unknown key '{unknown[0]}' in [{task}] (known: {known})")
-        settings = {}
-        for key, default in TASK_PARAMS[task].items():
-            if key not in params:
-                settings[key] = default(self) if callable(default) else default
-                continue
+        settings = dict(TASK_PARAMS[task])
+        for key, value in params.items():
             try:
-                settings[key] = _as_type_of(default, params[key])
+                settings[key] = _as_type_of(settings[key], value)
             except ValueError as exc:
-                raise ConfigError(f"[{task}] {key} = {params[key]!r}: {exc}") from None
+                raise ConfigError(f"[{task}] {key} = {value!r}: {exc}") from None
         return settings
 
     def check_task(self, task: str) -> None:
-        """Reject settings the task's estimator cannot use, naming the section and key."""
+        """Reject settings the task's estimator cannot use, naming the section and key,
+        and a task that solves one field set while ``fields`` names more."""
+        single = ("levelset", "tail", "density", "bivariate", "energy", "mu")
+        if task in single and len(self.fields) > 1:
+            raise ConfigError(f"task {task} solves one field set, but fields names "
+                              f"{len(self.fields)}: {', '.join(self.fields)}")
         settings = self.task_settings(task)
         for key, usable, need in _TASK_RULES.get(task, ()):
             if not usable(settings, self):

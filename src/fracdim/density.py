@@ -40,8 +40,6 @@ class TailCurve:
 
     xi_values: np.ndarray
     log_probs: np.ndarray
-    ensemble_size: int
-    interval: tuple[float, float]
 
     def __post_init__(self) -> None:
         xi = np.asarray(self.xi_values, dtype=float)
@@ -68,8 +66,6 @@ class DensityEstimate:
     centers: np.ndarray
     values: np.ndarray
     bandwidth: float
-    ensemble_size: int
-    interval: tuple[float, float]
 
     def __post_init__(self) -> None:
         c = np.atleast_2d(np.asarray(self.centers, dtype=float))
@@ -110,11 +106,10 @@ def _ensemble_samples_at(spec: ExperimentSpec, times: tuple[float, ...]) -> np.n
 
 def tail_curve(
     sups: np.ndarray,
-    interval: tuple[float, float],
     xi_grid: np.ndarray | None = None,
     ensemble: int | None = None,
 ) -> TailCurve:
-    """Empirical P(sup |X_v - X_u| >= xi) over [interval] from per-member sups.
+    """Empirical P(sup |X_v - X_u| >= xi) from per-member sups over one window.
 
     With xi_grid omitted, a quantile ladder of the realized statistics is
     used.  Exceedance zero yields the -inf sentinel; an all-sentinel curve is
@@ -132,7 +127,7 @@ def tail_curve(
     probs = (sups[None, :] >= xi[:, None]).mean(axis=1)
     with np.errstate(divide="ignore"):
         log_probs = np.log(probs)
-    curve = TailCurve(xi, log_probs, sups.size, interval)
+    curve = TailCurve(xi, log_probs)
     if curve.all_sentinel:
         warnings.warn("no exceedances at any xi; the xi grid is too coarse")
     return curve
@@ -217,7 +212,7 @@ def kde_increment(
     if pts.shape[1] != d:
         pts = pts.reshape(-1, d)
     vals, b = _kde_at(inc, pts)
-    return DensityEstimate(pts, vals, float(np.mean(b)), m, interval)
+    return DensityEstimate(pts, vals, float(np.mean(b)))
 
 
 def kde_bivariate_decay(
@@ -257,18 +252,18 @@ def upper_envelope_fit(
     z_norms: np.ndarray,
     values: np.ndarray,
     exponent: float,
-    n_bins: int = 10,
 ) -> tuple[float, float, float]:
     """Regression of the log upper-decile envelope against |z|^exponent.
 
-    Decay statements bound densities from above, so within each |z| bin only
-    the top decile of values is informative; returns (slope, intercept, r2).
+    Decay statements bound densities from above, so within each of 10 equal
+    |z| bins only the top decile of values is informative; returns (slope,
+    intercept, r2).
     """
     z = np.asarray(z_norms, dtype=float)
     v = np.asarray(values, dtype=float)
     keep = v > 0
     z, v = z[keep], v[keep]
-    edges = np.linspace(z.min(), z.max(), n_bins + 1)
+    edges = np.linspace(z.min(), z.max(), 11)
     xs, ys = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         sel = (z >= lo) & (z <= hi)

@@ -28,7 +28,6 @@ from .fbm import SamplePath, empirical_holder_exponent
 __all__ = [
     "DimensionEstimate",
     "EnergyValue",
-    "LevelSet",
     "PointCloud",
     "box_count",
     "box_dimension",
@@ -86,22 +85,6 @@ class DimensionEstimate:
     scales_used: list[float]
     counts: list[int]
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class LevelSet:
-    """Grid times where the path stays within tube_radius of the level."""
-
-    level: np.ndarray
-    tube_radius: float
-    times: np.ndarray
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        if t.size and np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "level", np.atleast_1d(np.asarray(self.level, float)))
 
 
 @dataclass(frozen=True)
@@ -301,15 +284,14 @@ def tube_floor(path: SamplePath) -> float:
     return norm_gamma * dt**gamma
 
 
-def extract_level_set(path: SamplePath, x: np.ndarray, eta: float) -> LevelSet:
-    """Grid times with |X_t - x| <= eta; eta must be at least tube_floor."""
+def extract_level_set(path: SamplePath, x: np.ndarray, eta: float) -> np.ndarray:
+    """The increasing grid times with |X_t - x| <= eta; eta must be at least tube_floor."""
     floor = tube_floor(path)
     if eta < floor:
         raise ValueError(f"eta {eta:g} is below the tube floor {floor:g}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     dist = np.sqrt(((path.values - x[None, :]) ** 2).sum(axis=1))
-    times = path.grid.points[dist <= eta]
-    return LevelSet(x, eta, times)
+    return path.grid.points[dist <= eta]
 
 
 def _kernel(r: np.ndarray, gamma: float) -> np.ndarray:

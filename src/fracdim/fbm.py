@@ -155,9 +155,10 @@ class SamplePath:
 
     def decimate(self, factor: int) -> "SamplePath":
         """Keep every factor-th point; factor must divide the interval count."""
-        if factor < 1 or (self.grid.n_points - 1) % factor:
-            raise ValueError("factor must divide the number of grid intervals")
-        sub = TimeGrid((self.grid.n_points - 1) // factor + 1, self.grid.t_start, self.grid.t_end)
+        n = self.grid.n_points - 1
+        if not isinstance(factor, numbers.Integral) or factor < 1 or n % factor:
+            raise ValueError(f"factor must be an integer dividing the {n} grid intervals: {factor!r}")
+        sub = TimeGrid(n // factor + 1, self.grid.t_start, self.grid.t_end)
         return SamplePath(sub, self.values[::factor], hurst=self.hurst, seed=self.seed)
 
 

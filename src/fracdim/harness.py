@@ -195,7 +195,7 @@ def _levelset_worker(spec, indices, states, restrict):
     for sol in _paths(spec, indices, states):
         sol = sol.restrict(*restrict)
         eta = dm.tube_floor(sol)
-        out.append((dm.extract_level_set(sol, level, eta).times, eta))
+        out.append((dm.extract_level_set(sol, level, eta), eta))
     return out
 
 
@@ -375,19 +375,19 @@ def _rank_corr(x: np.ndarray, y: np.ndarray) -> float:
 
 def _task_tail(spec, jobs, out_dir, results, verdicts, rows):
     p = spec.task_settings("tail")
-    interval = (p["s"], p["t"])
+    s, t = p["s"], p["t"]
     expected = min(2.0 * spec.hurst + 1.0, 2.0)
     ladder = [1.6, 1.8, 2.0, 2.2]
     if expected not in ladder:
         ladder = sorted(set(ladder + [expected]))
     r2_floor, delta_max, rank_floor = 0.9, 0.02, 0.8
     halvings = p["halvings"]
-    widths = [(interval[1] - interval[0]) / 2**j for j in range(halvings)]
-    windows = [spec.grid.window(interval[0], interval[0] + w) for w in widths]
+    widths = [(t - s) / 2**j for j in range(halvings)]
+    windows = [spec.grid.window(s, s + w) for w in widths]
     out, failures = _member_map(_sup_worker, spec, range(spec.ensemble), jobs, windows)
     sups = np.array(list(out.values()))  # (m, halvings)
 
-    curve = dl.tail_curve(sups[:, 0], interval, ensemble=spec.ensemble)
+    curve = dl.tail_curve(sups[:, 0], ensemble=spec.ensemble)
     best, slopes, r2s = dl.fit_tail_exponent(curve, ladder)
     r2_by_exp = dict(zip(ladder, r2s))
     delta = r2_by_exp[expected] - max(r2s)
@@ -547,7 +547,7 @@ def _task_mu(spec, jobs, out_dir, results, verdicts, rows):
                                 f"gamma = {gamma:.4g} <= 0", "dH < 1", "untestable"))
         return
     sharpness = list(p["sharpness"])
-    restrict = (p["t_lo"], spec.t_end)
+    restrict = (p["t_lo"], 1.0)
     mass_floor, final_cap = 0.5, 1.35
     out, failures = _member_map(
         _mu_worker, spec, range(spec.ensemble), jobs, gamma, sharpness, restrict

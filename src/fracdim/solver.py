@@ -67,8 +67,6 @@ def scheme_for(h: HurstParam | float, kind: str = "auto") -> SolverScheme:
 @dataclass(frozen=True)
 class EllipticityReport:
     lambda_min_observed: float
-    sample_points: list[np.ndarray]
-    requested_lambda: float
     passed: bool
 
 
@@ -85,11 +83,10 @@ def check_ellipticity(
     if not sample_points:
         raise ValueError("sample_points must be non-empty")
     worst = np.inf
-    pts = [np.asarray(p, dtype=float) for p in sample_points]
-    for x in pts:
-        v = fields.v(x)
+    for x in sample_points:
+        v = fields.v(np.asarray(x, dtype=float))
         worst = min(worst, float(np.linalg.eigvalsh(v @ v.T).min()))
-    return EllipticityReport(worst, pts, lam, worst >= lam)
+    return EllipticityReport(worst, worst >= lam)
 
 
 def _validate_shapes(fields: VectorFieldSet, x0: np.ndarray) -> None:

@@ -28,7 +28,7 @@ def test_minimal_document_fills_defaults():
     assert spec.scheme == "step2_davie"
     assert spec.ensemble == 1
     assert spec.fields == ("identity",)
-    assert spec.t_end == 1.0
+    assert (spec.grid.t_start, spec.grid.t_end) == (0.0, 1.0)
     assert spec.base_seed == 0
 
 
@@ -53,7 +53,8 @@ def test_step2_rejected_for_low_hurst():
 
 
 @pytest.mark.parametrize(
-    "line", ["generator = cholesky", "scheme = auto", "scheme = step3", "t_start = 0.5"]
+    "line",
+    ["generator = cholesky", "scheme = auto", "scheme = step3", "t_start = 0.5", "t_end = 2.0"],
 )
 def test_derived_keys_rejected_with_their_line(line):
     with pytest.raises(ConfigError, match=rf"unknown key '{line.split()[0]}' \(line 3\)"):
@@ -89,12 +90,6 @@ def test_same_key_in_two_sections_allowed():
 def test_non_power_of_two_points_rejected():
     with pytest.raises(ConfigError, match="power of two"):
         parse_spec("name = x\nhurst = 0.5\nn_points = 1000\n")
-
-
-@pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
-def test_t_end_must_be_positive_and_finite(value):
-    with pytest.raises(ConfigError, match="t_end must be a positive finite number"):
-        parse_spec(f"name = x\nhurst = 0.5\nt_end = {value}\n")
 
 
 def test_empty_fields_rejected():
@@ -135,13 +130,11 @@ def test_sections_collect_estimator_params():
 
 
 def test_task_settings_fill_defaults_from_the_spec():
-    spec = parse_spec(
-        "name = x\nhurst = 0.5\nt_end = 2.0\n[tail]\nhalvings = 3\n[mu]\nsharpness = 8\n"
-    )
+    spec = parse_spec("name = x\nhurst = 0.5\n[tail]\nhalvings = 3\n[mu]\nsharpness = 8\n")
     tail = spec.task_settings("tail")
-    assert (tail["s"], tail["t"], tail["halvings"]) == (0.0, 2.0, 3)
-    assert spec.task_settings("density")["t"] == 0.875 * 2.0
-    assert spec.task_settings("levelset")["t_hi"] == 2.0
+    assert (tail["s"], tail["t"], tail["halvings"]) == (0.0, 1.0, 3)
+    assert spec.task_settings("density")["t"] == 0.875
+    assert spec.task_settings("levelset")["t_hi"] == 1.0
     assert spec.task_settings("mu")["sharpness"] == (8,)
 
 
@@ -200,7 +193,7 @@ def test_bad_section_key_rejected(task, key, value):
         ("density", "t", "t = 1.5", ""),
         ("bivariate", "s", "s = 0.05", ""),
         ("bivariate", "s", "s = 0.75\nt = 0.25", ""),
-        ("bivariate", "t", "t = 0.75", "t_end = 0.5\n"),
+        ("bivariate", "t", "t = 1.5", ""),
         ("density", "s", "s = 0.1", "n_points = 64\n"),
         ("density", "t", "t = 0.9", "n_points = 64\n"),
         ("bivariate", "t", "t = 0.7", "n_points = 64\n"),
@@ -249,11 +242,8 @@ def test_kde_times_off_the_grid_name_the_nearest_grid_times():
     text = "name = x\nhurst = 0.5\nn_points = 64\ntasks = density\n[density]\ns = 0.1\n"
     with pytest.raises(ConfigError, match=r"\[density\] s = 0.1: .*grid time.*0\.09375 and 0\.109375"):
         parse_spec(text)
-    text = "name = x\nhurst = 0.5\nn_points = 64\nt_end = 0.6\ntasks = bivariate\n[bivariate]\ns = 0.3\nt = 0.45\n"
-    spec = parse_spec(text)
-    assert (spec.task_settings("bivariate")["s"], spec.task_settings("bivariate")["t"]) == (0.3, 0.45)
-    for t_end in (1.0, 2.0):  # the defaults are grid times
-        parse_spec(f"name = x\nhurst = 0.5\nn_points = 64\nt_end = {t_end}\ntasks = density, bivariate\n")
+    # the defaults are grid times
+    parse_spec("name = x\nhurst = 0.5\nn_points = 64\ntasks = density, bivariate\n")
 
 
 def test_unusable_setting_of_a_requested_task_fails_before_any_solve(tmp_path, monkeypatch):

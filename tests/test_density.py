@@ -60,7 +60,7 @@ def test_sup_increment_rejects_nan_cloud():
 
 def test_tail_curve_at_zero_has_probability_one():
     sups = collect_sups(brownian_spec(1000, n_points=64))
-    curve = dl.tail_curve(sups, (0.0, 1.0), xi_grid=[0.0, 0.5, 1.0])
+    curve = dl.tail_curve(sups, xi_grid=[0.0, 0.5, 1.0])
     assert curve.log_probs[0] == 0.0
     assert np.all(np.diff(curve.log_probs[np.isfinite(curve.log_probs)]) <= 1e-12)
 
@@ -68,17 +68,17 @@ def test_tail_curve_at_zero_has_probability_one():
 def test_tail_curve_warns_when_all_sentinel():
     sups = collect_sups(brownian_spec(1000, n_points=64))
     with pytest.warns(UserWarning, match="too coarse"):
-        curve = dl.tail_curve(sups, (0.0, 1.0), xi_grid=[50.0, 60.0])
+        curve = dl.tail_curve(sups, xi_grid=[50.0, 60.0])
     assert curve.all_sentinel
 
 
 def test_tail_curve_needs_ensemble():
     with pytest.raises(ValueError, match="ensemble"):
-        dl.tail_curve(collect_sups(brownian_spec(10)), (0.0, 1.0))
+        dl.tail_curve(collect_sups(brownian_spec(10)))
 
 
 def test_brownian_tail_selects_square_exponent():
-    curve = dl.tail_curve(collect_sups(brownian_spec(10_000)), (0.0, 1.0))
+    curve = dl.tail_curve(collect_sups(brownian_spec(10_000)))
     best, slopes, r2s = dl.fit_tail_exponent(curve, [1.6, 1.8, 2.0, 2.2])
     assert best == 2.0
     assert r2s[2] >= 0.9
@@ -86,7 +86,7 @@ def test_brownian_tail_selects_square_exponent():
 
 
 def test_h04_exponent_fits_at_least_as_well():
-    curve = dl.tail_curve(collect_sups(brownian_spec(10_000, h=0.4)), (0.0, 1.0))
+    curve = dl.tail_curve(collect_sups(brownian_spec(10_000, h=0.4)))
     _, _, r2s = dl.fit_tail_exponent(curve, [1.8, 2.0])
     assert r2s[0] >= r2s[1] - 0.02
 
@@ -95,7 +95,7 @@ def test_h04_exponent_fits_at_least_as_well():
 
 def test_fit_planted_square_model():
     xi = np.linspace(0.1, 2.0, 12)
-    curve = TailCurve(xi, -3.0 * xi**2, 1000, (0.0, 1.0))
+    curve = TailCurve(xi, -3.0 * xi**2)
     best, slopes, r2s = dl.fit_tail_exponent(curve, [1.6, 1.8, 2.0, 2.2])
     assert best == 2.0
     assert slopes[2] == pytest.approx(-3.0, abs=0.01)
@@ -107,7 +107,7 @@ def test_fit_planted_noisy_exponent_recovery():
     xi = np.linspace(0.2, 2.5, 20)
     lp = -(xi**1.8) + rng.normal(0, 0.05, xi.size)
     lp = np.minimum.accumulate(lp)  # keep the curve a valid survival function
-    curve = TailCurve(xi, lp, 1000, (0.0, 1.0))
+    curve = TailCurve(xi, lp)
     best, _, _ = dl.fit_tail_exponent(curve, [1.6, 1.8, 2.0])
     assert best == 1.8
 
@@ -115,18 +115,18 @@ def test_fit_planted_noisy_exponent_recovery():
 def test_fit_rejects_degenerate_and_short_curves():
     xi = np.linspace(0.1, 1.0, 8)
     with pytest.raises(ValueError, match="degenerate"):
-        dl.fit_tail_exponent(TailCurve(xi, np.zeros(8), 10, (0, 1)), [2.0])
+        dl.fit_tail_exponent(TailCurve(xi, np.zeros(8)), [2.0])
     lp = np.full(8, -np.inf)
     lp[:3] = [-0.1, -0.2, -0.3]
     with pytest.raises(ValueError, match="finite"):
-        dl.fit_tail_exponent(TailCurve(xi, lp, 10, (0, 1)), [2.0])
+        dl.fit_tail_exponent(TailCurve(xi, lp), [2.0])
 
 
 def test_tail_curve_validation():
     with pytest.raises(ValueError, match="increasing"):
-        TailCurve(np.array([1.0, 1.0]), np.array([0.0, -1.0]), 10, (0, 1))
+        TailCurve(np.array([1.0, 1.0]), np.array([0.0, -1.0]))
     with pytest.raises(ValueError, match="non-increasing"):
-        TailCurve(np.array([1.0, 2.0]), np.array([-2.0, -1.0]), 10, (0, 1))
+        TailCurve(np.array([1.0, 2.0]), np.array([-2.0, -1.0]))
 
 
 # ----------------------------------------------------------------------- kde
@@ -240,9 +240,7 @@ def test_tail_fit_split_stability():
         probs = (half[None, :] >= xi[:, None]).mean(axis=1)
         with np.errstate(divide="ignore"):
             lp = np.log(probs)
-        best, _, _ = dl.fit_tail_exponent(
-            TailCurve(xi, lp, half.size, (0.0, 1.0)), ladder
-        )
+        best, _, _ = dl.fit_tail_exponent(TailCurve(xi, lp), ladder)
         return best
 
     agree = 0

@@ -221,12 +221,12 @@ def test_level_set_monotone_path():
     n = 2**12 + 1
     path = SamplePath(TimeGrid(n, 0.0, 1.0), np.linspace(0.0, 1.0, n))
     eta = dm.tube_floor(path)
-    ls = dm.extract_level_set(path, np.array([0.5]), eta)
-    assert ls.times.size >= 1
-    assert ls.times.min() >= 0.5 - eta - 1e-12
-    assert ls.times.max() <= 0.5 + eta + 1e-12
+    times = dm.extract_level_set(path, np.array([0.5]), eta)
+    assert times.size >= 1 and (np.diff(times) > 0).all()
+    assert times.min() >= 0.5 - eta - 1e-12
+    assert times.max() <= 0.5 + eta + 1e-12
     # an isolated crossing looks zero-dimensional at scales above the tube
-    est = dm.box_dimension(PointCloud(ls.times), (0.5, 8 * eta), 6)
+    est = dm.box_dimension(PointCloud(times), (0.5, 8 * eta), 6)
     assert abs(est.slope) <= 0.1
 
 
@@ -242,7 +242,7 @@ def test_level_set_shrinking_tube_is_nested():
     floor = dm.tube_floor(p)
     big = dm.extract_level_set(p, np.zeros(1), 4 * floor)
     small = dm.extract_level_set(p, np.zeros(1), 2 * floor)
-    assert set(small.times).issubset(set(big.times))
+    assert set(small).issubset(set(big))
 
 
 def test_brownian_zero_set_dimension():
@@ -252,11 +252,11 @@ def test_brownian_zero_set_dimension():
         p = fbm.generate_circulant(TimeGrid(2**16 + 1, 0.0, 1.0), 1, 0.5, seed=seed)
         sub = p.restrict(0.1, 1.0)
         eta = dm.tube_floor(sub)
-        ls = dm.extract_level_set(sub, np.zeros(1), eta)
-        if ls.times.size < 32:
+        times = dm.extract_level_set(sub, np.zeros(1), eta)
+        if times.size < 32:
             continue
         hits += 1
-        cloud = PointCloud(ls.times)
+        cloud = PointCloud(times)
         window = dm.default_eps_range(cloud, 4.0 * eta**2)
         if window is None:
             continue

@@ -416,6 +416,8 @@ def test_sample_path_restrict_and_decimate():
     assert np.array_equal(d.values, p.values[::2])
     with pytest.raises(ValueError):
         p.decimate(3)
+    with pytest.raises(ValueError, match=r"integer .* 2\.0"):
+        p.decimate(2.0)  # divides the 8 intervals, but is no integer
 
 
 @pytest.mark.parametrize("grid", [unit_grid(9), TimeGrid(257, 0.5, 1.0), TimeGrid(100, 0.0, 3.0)],

@@ -607,6 +607,23 @@ def test_each_member_is_solved_once(tmp_path, monkeypatch, case):
     assert calls == {k: 1 for k in range(spec.ensemble)}
 
 
+@pytest.mark.parametrize("task", ["levelset", "tail", "density", "bivariate", "energy", "mu"])
+def test_single_field_task_rejects_a_second_field_set(tmp_path, monkeypatch, task):
+    # the task solves one field set: it would drop the second without a word
+    message = rf"task {task} solves one field set, but fields names 2: elliptic_sin_2d, identity"
+    text = "name = x\nhurst = 0.5\ndim = 2\nfields = elliptic_sin_2d, identity\ntasks = "
+    with pytest.raises(ConfigError, match=message):
+        parse_spec(text + task)
+    calls = _count_solves(monkeypatch)
+    spec = small_spec(tmp_path, dim=2, n_points=256, ensemble=100_000,
+                      fields=("elliptic_sin_2d", "identity"))
+    with pytest.raises(ConfigError, match=message):
+        run(spec, tasks=(task,))
+    assert not calls  # rejected before any member is solved
+    # the tasks that loop over the field sets, or write the identity driver, take both
+    parse_spec(text + "generate, solve, dim_image, dim_graph")
+
+
 @pytest.mark.parametrize(
     "task, floor", [("tail", 1000), ("density", 10_000), ("bivariate", 100_000)],
     ids=["tail", "density", "bivariate"],
